@@ -12,12 +12,7 @@ import hashlib
 import json
 import sys
 
-from .errors import (
-    GeneratorExtractionIncomplete,
-    ParseError,
-    TorfError,
-    UnknownFixture,
-)
+from .errors import ParseError, TorfError, UnknownFixture
 from .cones import cone_from_generators
 from .complexes import (
     classify,
@@ -106,8 +101,30 @@ def _load(path):
     return text, doc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"torf: {message}\n")
+
+
+def _nonnegative(v):
+    if v < 0:
+        raise ValueError(f"must be >= 0, got {v}")
+
+
+def _integer(check):
+    """Argument type: an integer that `check` accepts (it raises ValueError otherwise)."""
+    def integer(text):
+        try:
+            v = int(text)
+            check(v)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return v
+    return integer
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="torf",
         description="Exact computations on toric face rings.",
     )
@@ -117,14 +134,13 @@ def _build_parser():
     ])
     p.add_argument("file", nargs="?", help="model file, '-' for stdin, or fixture name")
     p.add_argument("--mode", choices=["sn", "wn"], default="sn")
-    p.add_argument("--char", action="append", type=int, default=None,
+    p.add_argument("--char", action="append", type=_integer(Characteristic), default=None,
                    help="characteristic (repeatable for classify)")
     p.add_argument("--pair", metavar="NAME")
     p.add_argument("--cone", metavar="NAME")
-    p.add_argument("--p", type=int, default=0, help="form degree")
-    p.add_argument("--box", type=int, default=None)
+    p.add_argument("--p", type=_integer(_nonnegative), default=0, help="form degree")
+    p.add_argument("--box", type=_integer(_nonnegative), default=None)
     p.add_argument("--theoretical", action="store_true")
-    p.add_argument("--degree-bound", type=int, default=None)
     p.add_argument("--format", choices=["human", "machine"], default="human")
     return p
 
@@ -169,14 +185,11 @@ def cmd_normalize(args, rep):
     _text, doc = _load(args.file)
     x, _pairs = build_complex(doc)
     char = Characteristic((args.char or [0])[0])
-    kw = {}
-    if args.degree_bound is not None:
-        kw["degree_bound"] = args.degree_bound
     if args.mode == "wn":
-        y = wn_complex(x, char, **kw)
+        y = wn_complex(x, char)
         already = is_weakly_normal_complex(x, char)
     else:
-        y = sn_complex(x, **kw)
+        y = sn_complex(x)
         already = is_seminormal_complex(x)
     rep.results["mode"] = args.mode
     rep.results["char"] = str(char.p)
@@ -346,9 +359,6 @@ def main(argv=None):
     except (ParseError, UnknownFixture) as e:
         sys.stderr.write(f"torf: {e}\n")
         return EXIT_USAGE
-    except GeneratorExtractionIncomplete as e:
-        sys.stderr.write(f"torf: internal: {e}\n")
-        return EXIT_INTERNAL
     except AssertionError as e:
         sys.stderr.write(f"torf: internal postcondition failed: {e}\n")
         return EXIT_INTERNAL

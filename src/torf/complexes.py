@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     GenerationFailure,
     NotASubfan,
+    TorfError,
 )
 from .cones import (
     Cone,
@@ -49,9 +50,6 @@ from .monoids import (
     weak_normalization,
 )
 
-VALIDATION_BOX_BOUND = 2
-
-
 @dataclass(frozen=True)
 class MonoidalComplex:
     """Fan with one affine monoid per cone, compatible along faces."""
@@ -70,12 +68,13 @@ class MonoidalComplex:
         return [cone for cone, _s in self.assignment]
 
 
-def complex_validate(n, fan: Fan, monoid_of, box_bound=VALIDATION_BOX_BOUND) -> MonoidalComplex:
+def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
     """Check the monoidal complex axioms and return the validated complex.
 
     Generation: each monoid generates exactly its assigned cone.  Face
     compatibility S_tau = S_sigma `intersect` tau is checked exactly on
-    generators and cross-checked by membership on a small coordinate box.
+    generators: S_sigma intersect tau is generated by the generators of
+    S_sigma lying in the face tau.
     """
     fan = fan_validate(n, list(fan))
     table = {}
@@ -99,9 +98,6 @@ def complex_validate(n, fan: Fan, monoid_of, box_bound=VALIDATION_BOX_BOUND) -> 
             for g in ss.generators:
                 if tau.contains(g) and not member(st, g):
                     raise CompatibilityFailure(tau, sig, g)
-            for v in box_points(n, box_bound):
-                if tau.contains(v) and member(ss, v) != member(st, v):
-                    raise CompatibilityFailure(tau, sig, v)
     assignment = tuple(sorted(table.items(), key=lambda kv: kv[0].sort_key()))
     return MonoidalComplex(n, fan, assignment)
 
@@ -261,27 +257,24 @@ def components(x: MonoidalComplex):
 # complex-level normalization and classification
 
 
-def sn_complex(x: MonoidalComplex, degree_bound=None, box_bound=None) -> MonoidalComplex:
+def _revalidate(fan: Fan, table) -> MonoidalComplex:
+    """Validate a computed complex.  A failure here is a broken postcondition
+    of the computation, not bad input, so it surfaces as an AssertionError."""
+    try:
+        return complex_validate(fan.ambient_rank, fan, table)
+    except TorfError as e:
+        raise AssertionError(f"computed complex fails validation: {e}") from e
+
+
+def sn_complex(x: MonoidalComplex) -> MonoidalComplex:
     """Seminormalization, cone by cone; face compatibility is inherited and revalidated."""
-    kw = {}
-    if degree_bound is not None:
-        kw["degree_bound"] = degree_bound
-    if box_bound is not None:
-        kw["box_bound"] = box_bound
-    table = {c: from_strata(stratify(s), **kw) for c, s in x.assignment}
-    return complex_validate(x.ambient_rank, x.fan, table)
+    return _revalidate(x.fan, {c: from_strata(stratify(s)) for c, s in x.assignment})
 
 
-def wn_complex(x: MonoidalComplex, char: Characteristic,
-               degree_bound=None, box_bound=None) -> MonoidalComplex:
+def wn_complex(x: MonoidalComplex, char: Characteristic) -> MonoidalComplex:
     """Weak normalization, cone by cone."""
-    kw = {}
-    if degree_bound is not None:
-        kw["degree_bound"] = degree_bound
-    if box_bound is not None:
-        kw["box_bound"] = box_bound
-    table = {c: from_strata(weak_normalization(s, char), **kw) for c, s in x.assignment}
-    return complex_validate(x.ambient_rank, x.fan, table)
+    table = {c: from_strata(weak_normalization(s, char)) for c, s in x.assignment}
+    return _revalidate(x.fan, table)
 
 
 def is_seminormal_complex(x: MonoidalComplex) -> bool:
@@ -315,22 +308,16 @@ def _validate_family(fan: Fan, family):
                     raise BadLatticeFamily(t, c, "lattices are not nested along faces")
 
 
-def complex_from_lattice_family(fan: Fan, family, degree_bound=None,
-                                box_bound=None) -> MonoidalComplex:
+def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
     """Inverse of classify on seminormal complexes: realize the family via the
     stratified monoids of each cone and extract generators."""
     fan = fan_validate(fan.ambient_rank, list(fan))
     _validate_family(fan, family)
-    kw = {}
-    if degree_bound is not None:
-        kw["degree_bound"] = degree_bound
-    if box_bound is not None:
-        kw["box_bound"] = box_bound
     table = {}
     for c in fan:
         strat = StratifiedMonoid.make(c, {f: family[f] for f in faces(c)})
-        table[c] = from_strata(strat, **kw)
-    return complex_validate(fan.ambient_rank, fan, table)
+        table[c] = from_strata(strat)
+    return _revalidate(fan, table)
 
 
 # ---------------------------------------------------------------------------

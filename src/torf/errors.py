@@ -58,16 +58,6 @@ class CompatibilityFailure(TorfError):
         )
 
 
-class GeneratorExtractionIncomplete(TorfError):
-    def __init__(self, degree_bound, missing=None):
-        self.degree_bound = degree_bound
-        self.missing = missing
-        super().__init__(
-            f"generator extraction incomplete at degree bound {degree_bound}"
-            + (f", uncovered element {missing}" if missing is not None else "")
-        )
-
-
 class NotFiniteExtension(TorfError):
     pass
 

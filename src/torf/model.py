@@ -26,7 +26,7 @@ from .linalg import Sublattice
 SCHEMA = "torf-1"
 
 _TOP_KEYS = {"schema", "ambient_rank", "cones", "fan", "monoids", "pairs", "options"}
-_OPTION_KEYS = {"box", "degree_bound", "char"}
+_OPTION_KEYS = {"box", "char"}
 _MONOID_KEYS = {"generators", "saturated", "strata"}
 
 
@@ -187,11 +187,7 @@ def _build_monoid(doc: ModelDoc, cone: Cone, spec) -> AffineMonoid:
     for face_gens, basis in spec[1]:
         f = cone_from_generators(n, face_gens)
         table[f] = Sublattice.from_generators(n, basis)
-    kw = {}
-    if "degree_bound" in doc.options:
-        kw["degree_bound"] = doc.options["degree_bound"]
-    strat = StratifiedMonoid.make(cone, table)
-    return from_strata(strat, **kw)
+    return from_strata(StratifiedMonoid.make(cone, table))
 
 
 def build_complex(doc: ModelDoc):

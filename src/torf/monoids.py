@@ -14,12 +14,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import floor, lcm
 
 from .errors import (
     BadLatticeFamily,
     DimensionMismatch,
-    GeneratorExtractionIncomplete,
     NotAFace,
     NotFiniteExtension,
 )
@@ -38,10 +37,9 @@ from .linalg import (
     vec_dot,
     vec_is_zero,
     vec_neg,
+    vec_scale,
     vec_sub,
 )
-
-DEFAULT_BOX_BOUND = 8
 
 
 def _is_prime(p):
@@ -186,19 +184,19 @@ def face_restriction(s: AffineMonoid, t: Cone) -> AffineMonoid:
 
 
 def _solve_rational(a: IntMatrix, v):
-    """Solve the square nonsingular system A t = v over the rationals."""
-    n = a.rows
-    m = [[Fraction(a.entry(i, j)) for j in range(n)] + [Fraction(v[i])] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c] != 0)
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
+    """Solve A t = v over the rationals, for A with independent columns and v
+    in their span."""
+    rows = [[Fraction(x) for x in a.row(i)] + [Fraction(v[i])] for i in range(a.rows)]
+    for c in range(a.cols):
+        piv = next(i for i in range(c, a.rows) if rows[i][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(a.rows):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return tuple(rows[i][-1] for i in range(a.cols))
 
 
 def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
@@ -215,15 +213,7 @@ def coset_reps(sup: Sublattice, sub: Sublattice):
     """Representatives of sup/sub (equal rank), reduced into the half-open
     fundamental parallelepiped of sub's basis inside sup. Ambient coords."""
     assert sup.rank == sub.rank, "coset enumeration needs equal ranks"
-    if sup.rank == 0:
-        return [tuple(0 for _ in range(sup.ambient_rank))]
-    coords = []
-    for v in sub.basis_vectors():
-        y = solve_integer(sup.basis, v)
-        assert y is not None, "sub is not contained in sup"
-        coords.append(y)
-    a = IntMatrix.from_cols(coords, nrows=sup.rank)
-    return _reps_in_parallelepiped(sup.basis, a)
+    return _parallelepiped_points(sup, sub.basis_vectors())
 
 
 def _reps_in_parallelepiped(b: IntMatrix, a: IntMatrix):
@@ -243,13 +233,16 @@ def _reps_in_parallelepiped(b: IntMatrix, a: IntMatrix):
     return reps
 
 
-def _parallelepiped_points(n, vectors):
-    """Points of Z^n in the half-open parallelepiped of the given independent vectors."""
-    span = saturate(Sublattice.from_generators(n, vectors))
-    coords = [solve_integer(span.basis, v) for v in vectors]
-    assert all(c is not None for c in coords)
-    a = IntMatrix.from_cols(coords, nrows=span.rank)
-    return _reps_in_parallelepiped(span.basis, a)
+def _parallelepiped_points(sup: Sublattice, vectors):
+    """Points of `sup` in the half-open parallelepiped of the given independent
+    vectors of `sup`, which span a sublattice of full rank; one per coset."""
+    coords = []
+    for v in vectors:
+        y = solve_integer(sup.basis, v)
+        assert y is not None, "vector is not in the lattice"
+        coords.append(y)
+    a = IntMatrix.from_cols(coords, nrows=sup.rank)
+    return _reps_in_parallelepiped(sup.basis, a)
 
 
 def _triangulate(c: Cone):
@@ -286,7 +279,8 @@ def cone_lattice_generators(c: Cone):
     pointed = cone_from_generators(n, list(c.rays))
     candidates = set(c.rays)
     for simplex in _triangulate(pointed):
-        for p in _parallelepiped_points(n, list(simplex)):
+        span = saturate(Sublattice.from_generators(n, list(simplex)))
+        for p in _parallelepiped_points(span, list(simplex)):
             if not vec_is_zero(p):
                 candidates.add(p)
     ell = _grading(pointed)
@@ -453,103 +447,88 @@ def _minimal_face(c: Cone) -> Cone:
     return min(faces(c), key=lambda f: f.dim)
 
 
-def _pointed_points_up_to(n, c: Cone, bound):
-    """Lattice points of the pointed part of c with grading <= bound."""
-    if not c.rays:
-        return [tuple(0 for _ in range(n))]
-    pointed = cone_from_generators(n, list(c.rays))
-    hb = [g for g in cone_lattice_generators(pointed)]
-    ell = _grading(pointed)
-    zero = tuple(0 for _ in range(n))
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        v = frontier.pop()
-        for h in hb:
-            w = vec_add(v, h)
-            if w not in seen and vec_dot(ell, w) <= bound:
-                seen.add(w)
-                frontier.append(w)
-    return sorted(seen, key=lambda v: (vec_dot(ell, v), v))
+def _ray_faces(c: Cone):
+    """Each ray of c paired with its face of dimension one above the lineality."""
+    rank1 = [f for f in faces(c) if f.dim == c.lin_dim + 1]
+    return [(r, next(f for f in rank1 if f.contains(r))) for r in c.rays]
 
 
-def default_degree_bound(c: Cone) -> int:
-    """Twice the maximal grading of the Hilbert basis of the saturated cone monoid."""
-    ell = _grading(c)
-    degs = [vec_dot(ell, g) for g in cone_lattice_generators(c)]
-    return 2 * max([d for d in degs if d > 0], default=1)
+def _simplices(c: Cone):
+    """Maximal simplices (tuples of rays) of a pulling triangulation of c modulo its lineality."""
+    return _triangulate(cone_from_generators(c.ambient_rank, list(c.rays)))
 
 
-def extract_generators(
-    cone: Cone,
-    member_fn,
-    group_lattice: Sublattice,
-    degree_bound=None,
-    box_bound=DEFAULT_BOX_BOUND,
-) -> AffineMonoid:
-    """Degree-bounded greedy extraction of a generating set for the set decided
-    by `member_fn` (assumed to be a submonoid of Z^n inside `cone`, invariant
-    under translation by `group_lattice`, whose intersection with the minimal
-    face is exactly `group_lattice`).
+def _subset_sums(n, vectors):
+    """The sums of all subsets of the vectors (the empty sum is 0)."""
+    sums = [tuple(0 for _ in range(n))]
+    for v in vectors:
+        sums += [vec_add(s, v) for s in sums]
+    return sums
 
-    Post-verified on the box {|coords| <= box_bound} intersect cone; raises
-    GeneratorExtractionIncomplete on any uncovered element.  When no degree
-    bound is given, a heuristic bound is used and doubled on failure a few
-    times before giving up.
+
+def _strata_candidates(strat: StratifiedMonoid):
+    """A finite set whose members in M, with the units of M, generate the
+    realized monoid M of a stratified monoid.
+
+    Take r_i, the least multiple of ray i inside its ray stratum.  For each
+    simplex sigma of a triangulation, take the points of the top lattice in
+    the half-open parallelepiped of {r_i : i in sigma} plus a basis of the
+    minimal stratum L_min, and add every subset sum of those r_i.  Exactness:
+    an m in M lies in relint F and L_F for some face F, and in the cone of
+    some sigma, m = l + sum t_i r_i with l in span(L_min), t_i >= 0 and
+    t_i > 0 only on rays of F.  Then m - sum (ceil(t_i) - 1) r_i still lies in
+    relint F and in L_F, and up to L_min it is a candidate.
     """
+    cone = strat.cone
     n = cone.ambient_rank
-    if degree_bound is None:
-        degree_bound = default_degree_bound(cone)
-        for attempt in range(4):
-            try:
-                return extract_generators(
-                    cone, member_fn, group_lattice,
-                    degree_bound=degree_bound << attempt, box_bound=box_bound,
-                )
-            except GeneratorExtractionIncomplete:
-                if attempt == 3:
-                    raise
-        raise AssertionError("unreachable")
-    gens = []
-    for b in group_lattice.basis_vectors():
-        gens.append(tuple(b))
-        gens.append(vec_neg(b))
-    # enumeration: pointed-part points plus coset representatives of the
-    # lineality lattice modulo the group stratum
-    lin_lat = _minimal_face(cone).span_lattice()
-    reps = coset_reps(lin_lat, group_lattice)
-    pointed = _pointed_points_up_to(n, cone, degree_bound)
-    candidates = set()
-    for x in pointed:
-        for f in reps:
-            candidates.add(vec_add(x, f))
+    units = strat.lattice_of(_minimal_face(cone)).basis_vectors()
+    r = {}
+    for ray, f in _ray_faces(cone):
+        line = Sublattice.from_generators(n, [ray])
+        b = _lattice_intersection(strat.lattice_of(f), line).basis_vectors()[0]
+        r[ray] = b if cone.contains(b) else vec_neg(b)
+    top = strat.lattice_of(cone)
+    out = set()
+    for simplex in _simplices(cone):
+        rs = [r[x] for x in simplex]
+        for x in _parallelepiped_points(top, rs + units):
+            out.update(vec_add(x, t) for t in _subset_sums(n, rs))
+    return out
+
+
+def extract_generators(cone: Cone, member_fn, group_lattice: Sublattice,
+                       candidates) -> AffineMonoid:
+    """Greedy minimal generating set of the monoid M decided by `member_fn`: a
+    submonoid of Z^n with cone `cone` and unit group `group_lattice`, which
+    the members of `candidates` generate together with the units.
+
+    Candidates are taken in grading order (the grading vanishes exactly on
+    the units).  A non-unit m of M is kept unless m - g lies in M for some
+    non-unit g kept before it: all of M below the grading of m is already
+    generated then, so this is the same as m being generated by them.
+    """
+    units = [u for b in group_lattice.basis_vectors() for u in (b, vec_neg(b))]
     ell = _grading(cone)
-    current = AffineMonoid.make(n, gens)
+    in_m = lru_cache(maxsize=None)(member_fn)
+    kept = []
     for m in sorted(candidates, key=lambda v: (vec_dot(ell, v), v)):
-        if vec_is_zero(m) or not member_fn(m):
+        if vec_dot(ell, m) == 0 or not in_m(m):
             continue
-        if not member(current, m):
-            gens.append(m)
-            current = AffineMonoid.make(n, gens)
-    # completeness check on the verification box
-    for v in box_points(n, box_bound):
-        if cone.contains(v) and member_fn(v) and not member(current, v):
-            raise GeneratorExtractionIncomplete(degree_bound, missing=v)
-    return current
+        if not any(in_m(vec_sub(m, g)) for g in kept):
+            kept.append(m)
+    return AffineMonoid.make(cone.ambient_rank, units + kept)
 
 
-def from_strata(strat: StratifiedMonoid, degree_bound=None, box_bound=DEFAULT_BOX_BOUND) -> AffineMonoid:
+def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
     """Finite generating set of the realized set of a stratified monoid."""
     group = strat.lattice_of(_minimal_face(strat.cone))
-    return extract_generators(
-        strat.cone, strat.member, group, degree_bound=degree_bound, box_bound=box_bound
-    )
+    return extract_generators(strat.cone, strat.member, group, _strata_candidates(strat))
 
 
 def is_seminormal(s: AffineMonoid) -> bool:
-    """S equals its seminormalization: every extracted sn-generator is already in S."""
-    sn_gens = from_strata(stratify(s))
-    return all(member(s, g) for g in sn_gens.generators)
+    """S equals its seminormalization: every generator candidate of sn(S) is in S."""
+    sn = stratify(s)
+    return all(member(s, m) for m in _strata_candidates(sn) if sn.member(m))
 
 
 def is_weakly_normal(s: AffineMonoid, char: Characteristic) -> bool:
@@ -602,29 +581,60 @@ def _relative_precheck(s: AffineMonoid, sp: AffineMonoid):
             )
 
 
-def _relative_extract(s, sp, stratum_member, degree_bound, box_bound):
+def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
+    """A finite set whose members in T, with the units `group` of T, generate
+    any T = S' intersect M, where M is stratified and contains S.
+
+    Take r_i, a generator of S in the face of ray i outside the lineality,
+    and for each generator g'_j of S' the least c_j >= 1 with c_j g'_j in
+    N<r_i : i in sigma> + group for a simplex sigma containing g'_j.  Every t in T is e + sum A_i r_i + u with e in
+    E = {sum n_j g'_j : 0 <= n_j < c_j}, A_i in N and u in group; the
+    candidate e + sum_{A_i > 0} r_i lies in the same relint F and in L_F.
+    """
+    n = s.ambient_rank
+    cone = monoid_cone(s)
+    minf = _minimal_face(cone)
+    r = {
+        ray: min(g for g in s.generators if f.contains(g) and not minf.contains(g))
+        for ray, f in _ray_faces(cone)
+    }
+    units = group.basis_vectors()
+    bases = [(len(simplex), IntMatrix.from_cols([r[x] for x in simplex] + units, nrows=n))
+             for simplex in _simplices(cone)]
+    spread = {tuple(0 for _ in range(n))}
+    for g in sp.generators:
+        for k, b in bases:
+            t = _solve_rational(b, g)
+            if all(ti >= 0 for ti in t[:k]):
+                break
+        else:
+            raise AssertionError(f"{g} lies in no simplex of the cone")
+        c = lcm(*(ti.denominator for ti in t))
+        spread = {vec_add(e, vec_scale(j, g)) for e in spread for j in range(c)}
+    sums = _subset_sums(n, list(r.values()))
+    return {vec_add(e, t) for e in spread for t in sums}
+
+
+def _relative_extract(s, sp, strat):
     cone = monoid_cone(s)
     minf = _minimal_face(cone)
     group = _lattice_intersection(
-        monoid_gp(face_restriction(sp, minf)), stratum_member.lattice_of(minf)
+        monoid_gp(face_restriction(sp, minf)), strat.lattice_of(minf)
     )
 
     def member_fn(m):
-        return member(sp, m) and stratum_member.member(m)
+        return member(sp, m) and strat.member(m)
 
-    return extract_generators(cone, member_fn, group,
-                              degree_bound=degree_bound, box_bound=box_bound)
+    return extract_generators(cone, member_fn, group, _relative_candidates(s, sp, group))
 
 
-def relative_sn(s: AffineMonoid, sp: AffineMonoid,
-                degree_bound=None, box_bound=DEFAULT_BOX_BOUND) -> AffineMonoid:
+def relative_sn(s: AffineMonoid, sp: AffineMonoid) -> AffineMonoid:
     """Seminormalization of S inside a finite extension S'."""
     _relative_precheck(s, sp)
-    return _relative_extract(s, sp, stratify(s), degree_bound, box_bound)
+    return _relative_extract(s, sp, stratify(s))
 
 
-def relative_wn(s: AffineMonoid, sp: AffineMonoid, char: Characteristic,
-                degree_bound=None, box_bound=DEFAULT_BOX_BOUND) -> AffineMonoid:
+def relative_wn(s: AffineMonoid, sp: AffineMonoid, char: Characteristic) -> AffineMonoid:
     """Weak normalization of S inside a finite extension S'."""
     _relative_precheck(s, sp)
-    return _relative_extract(s, sp, weak_normalization(s, char), degree_bound, box_bound)
+    return _relative_extract(s, sp, weak_normalization(s, char))

@@ -95,7 +95,7 @@ def test_criterion_02_numeric_semigroup():
 def test_criterion_03_relative_weak_normalization():
     s = AffineMonoid.make(1, [(6,)])
     sp = AffineMonoid.make(1, [(1,)])
-    w = relative_wn(s, sp, Characteristic(2), box_bound=60)
+    w = relative_wn(s, sp, Characteristic(2))
     ok = all(member(w, (m,)) == (m % 3 == 0) for m in range(0, 61))
     report(3, ok, "relative wn of <6> in N at p=2 is exactly 3N on [0, 60]")
 
@@ -222,12 +222,12 @@ def test_criterion_08_classification_roundtrips():
             # monoid-level roundtrip on every cone
             for c in x.cones():
                 s = x.monoid_of(c)
-                back = from_strata(stratify(s), box_bound=8)
+                back = from_strata(stratify(s))
                 if not monoid_equal(back, s):
                     ok = False
             # complex-level roundtrip through the lattice family
             fam = classify(x)
-            y = complex_from_lattice_family(x.fan, fam, box_bound=8)
+            y = complex_from_lattice_family(x.fan, fam)
             if classify(y) != fam:
                 ok = False
             for c in x.cones():

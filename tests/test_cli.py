@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import torf.complexes
 from torf.cli import main
 from torf.fixtures import broken_fixture_names, fixture_names
 from torf.model import SCHEMA
+from torf.monoids import AffineMonoid
 
 
 def run(capsys, *argv):
@@ -105,6 +107,81 @@ class TestClassify:
         assert code == 0
         wn = json.loads(out)["results"]["weakly_normal"]
         assert all(wn.values())
+
+
+WIDE_MODEL = {
+    "schema": SCHEMA,
+    "ambient_rank": 2,
+    "cones": {"c": [[1, 0], [0, 1]]},
+    "fan": {"face_closure_of": ["c"]},
+    "monoids": {"c": {"generators": [[20, 0], [0, 1], [30, 1]]}},
+}
+
+
+def write_model(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestExactExtraction:
+    """A seminormalization generator outside any small box: (10, 1)."""
+
+    def test_classify_not_seminormal(self, capsys, tmp_path):
+        path = write_model(tmp_path, WIDE_MODEL)
+        code, out, _err = run(capsys, "classify", path, "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["results"]["seminormal"] is False
+        _code, out, _err = run(capsys, "classify", path)
+        assert "seminormal: no" in out
+
+    def test_normalize(self, capsys, tmp_path):
+        path = write_model(tmp_path, WIDE_MODEL)
+        code, out, err = run(capsys, "normalize", path, "--format", "machine")
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        assert res["already_normal"] is False
+        top = max(res["cones"], key=lambda c: c["cone"]["dim"])
+        assert top["generators"] == [["0", "1"], ["10", "1"], ["20", "0"]]
+
+    def test_degree_bound_option_rejected(self, capsys, tmp_path):
+        path = write_model(tmp_path, dict(WIDE_MODEL, options={"degree_bound": 4}))
+        code, _out, err = run(capsys, "classify", path)
+        assert code == 1
+        assert "unknown option keys" in err
+
+
+class TestArguments:
+    """Bad arguments exit 1 with one line, before any computation."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (("classify", "--char", "4"), "characteristic must be 0 or prime, got 4"),
+        (("normalize", "--mode", "wn", "--char", "4"), "characteristic must be 0 or prime, got 4"),
+        (("forms", "--p", "-2"), "must be >= 0, got -2"),
+        (("betti", "--box", "-1"), "must be >= 0, got -1"),
+        (("betti", "--box", "x"), "invalid literal"),
+    ])
+    def test_rejected(self, capsys, tmp_path, argv, needle):
+        path = write_fixture(capsys, tmp_path, "pinch")
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("torf: ")
+        assert needle in err
+
+
+class TestInternalFault:
+    def test_failed_revalidation_exits_three(self, capsys, tmp_path, monkeypatch):
+        # a normalization that returns the trivial monoid breaks the
+        # generation axiom of the computed complex
+        monkeypatch.setattr(torf.complexes, "from_strata",
+                            lambda strat: AffineMonoid.make(strat.cone.ambient_rank, []))
+        path = write_fixture(capsys, tmp_path, "pinch")
+        for argv in (("normalize",), ("normalize", "--mode", "wn", "--char", "2")):
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert code == 3
+            assert out == ""
+            assert err.startswith("torf: internal postcondition failed: ")
 
 
 class TestNormalize:

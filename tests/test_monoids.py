@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torf.errors import NotFiniteExtension
 from torf.cones import cone_from_generators, faces
@@ -30,6 +31,7 @@ from torf.monoids import (
 PINCH = AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)])
 NSG23 = AffineMonoid.make(1, [(2,), (3,)])
 NN = AffineMonoid.make(2, [(1, 0), (0, 1)])
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestMembership:
@@ -240,3 +242,66 @@ class TestFaceRestriction:
             r = face_restriction(PINCH, f)
             for g in r.generators:
                 assert f.contains(g)
+
+
+class TestExactExtraction:
+    """Generator extraction has no degree or box bound: generators far from
+    the origin are found, and the result realizes the stratified set."""
+
+    WIDE = AffineMonoid.make(2, [(20, 0), (0, 1), (30, 1)])
+
+    def test_wide_generator_not_seminormal(self):
+        assert not is_seminormal(self.WIDE)
+        assert from_strata(stratify(self.WIDE)).generators == ((0, 1), (10, 1), (20, 0))
+
+    def test_common_factor_not_seminormal(self):
+        s = AffineMonoid.make(1, [(48,), (36,)])
+        assert not is_seminormal(s)
+        assert from_strata(stratify(s)).generators == ((12,),)
+
+    @pytest.mark.parametrize("d,p,expected", [(36, 2, 9), (43, 3, 43)])
+    def test_relative_wn_removes_p_part(self, d, p, expected):
+        w = relative_wn(AffineMonoid.make(1, [(d,)]), AffineMonoid.make(1, [(1,)]), Characteristic(p))
+        assert w.generators == ((expected,),)
+
+    @PROPERTY
+    @given(st.integers(1, 80), st.sampled_from([2, 3, 5]))
+    def test_relative_wn_closed_form(self, d, p):
+        q = d
+        while q % p == 0:
+            q //= p
+        w = relative_wn(AffineMonoid.make(1, [(d,)]), AffineMonoid.make(1, [(1,)]), Characteristic(p))
+        assert w.generators == ((q,),)
+
+
+def small_monoids():
+    """Monoids of rank 1 or 2 with up to four generators, coordinates up to
+    24 in size so that generators outside small boxes occur; pointed and
+    non-pointed cones both occur."""
+    return st.integers(1, 2).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-24, 24)] * n), min_size=1, max_size=4,
+    ).map(lambda gens: AffineMonoid.make(n, gens)))
+
+
+class TestExtractionProperties:
+    @PROPERTY
+    @given(small_monoids())
+    def test_contains_monoid(self, s):
+        sn = from_strata(stratify(s))
+        assert all(member(sn, g) for g in s.generators)
+
+    @PROPERTY
+    @given(small_monoids())
+    def test_realizes_strata(self, s):
+        strat = stratify(s)
+        back = from_strata(strat)
+        for v in box_points(s.ambient_rank, 4):
+            assert member(back, v) == strat.member(v)
+
+    @PROPERTY
+    @given(small_monoids())
+    def test_sn_idempotent(self, s):
+        sn = from_strata(stratify(s))
+        assert stratify(sn) == stratify(s)
+        assert is_seminormal(sn)
+        assert monoid_equal(from_strata(stratify(sn)), sn)
