@@ -58,9 +58,9 @@ def _lattice_json(lat):
 
 
 class Report:
-    def __init__(self, command, input_text):
+    def __init__(self, command):
         self.command = command
-        self.digest = hashlib.sha256(input_text.encode()).hexdigest()
+        self.digest = None  # of the model text, set by _load
         self.results = {}
         self.diagnostics = []
         self.human_lines = []
@@ -85,20 +85,19 @@ class Report:
                 out.write(f"! {d}\n")
 
 
-def _read_input(path):
+def _load(path, rep):
+    """Parse the model read from `path` (standard input for None or '-'); the
+    report's digest is of the text read."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
-
-
-def _load(path):
-    text = _read_input(path)
-    doc = parse_model(text)
-    return text, doc
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+        except OSError as e:
+            raise ParseError(f"cannot read {path}: {e}") from None
+    rep.digest = hashlib.sha256(text.encode()).hexdigest()
+    return parse_model(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,7 +162,7 @@ def _complex_summary(rep, x):
 
 
 def cmd_validate(args, rep):
-    _text, doc = _load(args.file)
+    doc = _load(args.file, rep)
     try:
         x, pairs = build_complex(doc)
     except TorfError as e:
@@ -182,7 +181,7 @@ def cmd_validate(args, rep):
 
 
 def cmd_normalize(args, rep):
-    _text, doc = _load(args.file)
+    doc = _load(args.file, rep)
     x, _pairs = build_complex(doc)
     char = Characteristic((args.char or [0])[0])
     if args.mode == "wn":
@@ -212,7 +211,7 @@ def cmd_normalize(args, rep):
 
 
 def cmd_classify(args, rep):
-    _text, doc = _load(args.file)
+    doc = _load(args.file, rep)
     x, _pairs = build_complex(doc)
     chars = args.char if args.char else [0, 2, 3, 5]
     family = classify(x)
@@ -240,7 +239,7 @@ def cmd_classify(args, rep):
 
 
 def cmd_orbits(args, rep):
-    _text, doc = _load(args.file)
+    doc = _load(args.file, rep)
     x, _pairs = build_complex(doc)
     table = orbits(x)
     rows = []
@@ -260,7 +259,7 @@ def cmd_orbits(args, rep):
 
 
 def cmd_betti(args, rep):
-    _text, doc = _load(args.file)
+    doc = _load(args.file, rep)
     x, pairs = build_complex(doc)
     subfan = _get_pair(pairs, args.pair) if args.pair else None
     box = args.box if args.box is not None else doc.options.get("box", 4)
@@ -274,7 +273,7 @@ def cmd_betti(args, rep):
 
 
 def cmd_germ(args, rep):
-    _text, doc = _load(args.file)
+    doc = _load(args.file, rep)
     x, _pairs = build_complex(doc)
     if args.cone is None:
         raise ParseError("germ requires --cone NAME")
@@ -289,7 +288,7 @@ def cmd_germ(args, rep):
 
 
 def cmd_forms(args, rep):
-    _text, doc = _load(args.file)
+    doc = _load(args.file, rep)
     x, pairs = build_complex(doc)
     box = args.box if args.box is not None else doc.options.get("box", 4)
     p = args.p
@@ -353,7 +352,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    rep = Report(args.command, args.file or "")
+    rep = Report(args.command)
     try:
         code = _COMMANDS[args.command](args, rep)
     except (ParseError, UnknownFixture) as e:

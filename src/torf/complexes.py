@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadLatticeFamily,
@@ -58,11 +59,15 @@ class MonoidalComplex:
     fan: Fan
     assignment: tuple  # ((cone, AffineMonoid), ...) in canonical cone order
 
+    @cached_property
+    def _table(self):
+        return dict(self.assignment)
+
     def monoid_of(self, c: Cone) -> AffineMonoid:
-        for cone, s in self.assignment:
-            if cone == c:
-                return s
-        raise ConeNotInFan(f"cone not in the complex fan: {c}")
+        try:
+            return self._table[c]
+        except KeyError:
+            raise ConeNotInFan(f"cone not in the complex fan: {c}") from None
 
     def cones(self):
         return [cone for cone, _s in self.assignment]

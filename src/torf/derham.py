@@ -31,7 +31,7 @@ from .complexes import (
     support_locate,
     wn_complex,
 )
-from .linalg import IntMatrix, det, rank, solve_integer, vec_add
+from .linalg import IntMatrix, det, lattice_coords, rank, vec_add
 from .monoids import Characteristic, box_points, member, monoid_gp, relint_contains
 
 
@@ -101,10 +101,7 @@ def fiber_space(x: MonoidalComplex, m) -> FormSpace:
 def alpha(x: MonoidalComplex, m):
     """Integer coordinates of m in the canonical basis of V_m."""
     fs = fiber_space(x, m)
-    if fs.dim == 0:
-        return ()
-    b = IntMatrix.from_cols([tuple(v) for v in fs.basis], nrows=x.ambient_rank)
-    y = solve_integer(b, fs.degree)
+    y = lattice_coords(monoid_gp(x.monoid_of(fs.cone)), fs.degree)
     assert y is not None, "support degree must lie in its stratum lattice"
     return y
 
@@ -211,12 +208,9 @@ def _inclusion_matrix(x: MonoidalComplex, m_small, m_big) -> IntMatrix:
     """Coordinates of V_{m_small}'s basis inside V_{m_big}'s basis."""
     fs = fiber_space(x, m_small)
     fb = fiber_space(x, m_big)
-    big = IntMatrix.from_cols([tuple(v) for v in fb.basis], nrows=x.ambient_rank)
-    cols = []
-    for v in fs.basis:
-        y = solve_integer(big, tuple(v))
-        assert y is not None, "stratum lattices must be nested along multiplication"
-        cols.append(y)
+    big = monoid_gp(x.monoid_of(fb.cone))
+    cols = [lattice_coords(big, v) for v in fs.basis]
+    assert None not in cols, "stratum lattices must be nested along multiplication"
     return IntMatrix.from_cols(cols, nrows=fb.dim)
 
 

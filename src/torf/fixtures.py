@@ -101,14 +101,15 @@ def broken_fixture_names():
 
 def fixture(name: str) -> FixtureData:
     """Build a named fixture; parametrized families accept numeric suffixes."""
-    m = re.fullmatch(r"torus-(\d+)", name)
+    m = re.fullmatch(r"(torus|affine)-(\d+)", name)
     if m:
-        return _pack(name, _torus(int(m.group(1))))
-    m = re.fullmatch(r"affine-(\d+)", name)
-    if m:
-        x = _affine(int(m.group(1)))
-        pairs = {"boundary": _boundary_fan(x)} if int(m.group(1)) >= 1 else {}
-        return _pack(name, x, pairs)
+        n = int(m.group(2))
+        if n > 4:  # affine-n has 2^n faces
+            raise UnknownFixture(f"{name}: n must be <= 4")
+        if m.group(1) == "torus":
+            return _pack(name, _torus(n))
+        x = _affine(n)
+        return _pack(name, x, {"boundary": _boundary_fan(x)} if n >= 1 else {})
     if name == "pinch":
         return _pack(name, _pinch())
     if name == "pinch-pair":

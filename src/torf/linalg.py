@@ -17,6 +17,7 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import DimensionMismatch, NotASublattice
@@ -415,12 +416,35 @@ class Sublattice:
     def basis_vectors(self):
         return self.basis.col_list()
 
+    @cached_property
+    def _pivots(self):
+        """(pivot row, column) per basis column; the pivot is its first nonzero entry."""
+        return tuple((next(i for i, x in enumerate(c) if x), c) for c in self.basis.col_list())
+
+
+def lattice_coords(lat: Sublattice, v):
+    """The integer y with lat.basis @ y = v, or None when v is not in `lat`.
+
+    Forward substitution on the stored column HNF: column j is zero above
+    its pivot row, so once columns 0..j-1 are subtracted the pivot fixes y_j
+    by exact division, and v is in `lat` iff nothing is left over at the end.
+    """
+    if len(v) != lat.ambient_rank:
+        raise DimensionMismatch("vector length does not match ambient rank")
+    rest = list(v)
+    y = []
+    for p, col in lat._pivots:
+        q, r = divmod(rest[p], col[p])
+        if r:
+            return None
+        y.append(q)
+        rest = [a - q * c for a, c in zip(rest, col)]
+    return None if any(rest) else tuple(y)
+
 
 def member_lattice(lat: Sublattice, v) -> bool:
     """True iff v is an integer combination of the basis columns."""
-    if len(v) != lat.ambient_rank:
-        raise DimensionMismatch("vector length does not match ambient rank")
-    return solve_integer(lat.basis, tuple(v)) is not None
+    return lattice_coords(lat, v) is not None
 
 
 def lattice_index(sub: Sublattice, sup: Sublattice):
@@ -432,7 +456,7 @@ def lattice_index(sub: Sublattice, sup: Sublattice):
         raise DimensionMismatch("ambient ranks differ")
     coords = []
     for v in sub.basis_vectors():
-        y = solve_integer(sup.basis, v)
+        y = lattice_coords(sup, v)
         if y is None:
             raise NotASublattice(f"{v} is not in the claimed superlattice")
         coords.append(y)

@@ -26,7 +26,7 @@ from .linalg import Sublattice
 SCHEMA = "torf-1"
 
 _TOP_KEYS = {"schema", "ambient_rank", "cones", "fan", "monoids", "pairs", "options"}
-_OPTION_KEYS = {"box", "char"}
+_OPTION_KEYS = {"box"}
 _MONOID_KEYS = {"generators", "saturated", "strata"}
 
 
@@ -125,6 +125,8 @@ def parse_model(text: str) -> ModelDoc:
         raise ParseError(f"unknown option keys: {sorted(unknown)}")
     for k, v in raw_opts.items():
         options[k] = _int(v)
+    if options.get("box", 0) < 0:
+        raise ParseError(f"options.box must be >= 0, got {options['box']}")
     return ModelDoc(n, cone_gens, fan_spec, monoid_specs, pair_specs, options)
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import floor, lcm
+from functools import cached_property, lru_cache
+from math import gcd
 
 from .errors import (
     BadLatticeFamily,
@@ -28,11 +27,11 @@ from .linalg import (
     Sublattice,
     kernel_cols,
     lattice_contains,
+    lattice_coords,
     lattice_index,
     member_lattice,
     saturate,
     snf,
-    solve_integer,
     vec_add,
     vec_dot,
     vec_is_zero,
@@ -183,30 +182,19 @@ def face_restriction(s: AffineMonoid, t: Cone) -> AffineMonoid:
 # lattice point machinery: parallelepipeds, Hilbert bases
 
 
-def _solve_rational(a: IntMatrix, v):
-    """Solve A t = v over the rationals, for A with independent columns and v
-    in their span."""
-    rows = [[Fraction(x) for x in a.row(i)] + [Fraction(v[i])] for i in range(a.rows)]
-    for c in range(a.cols):
-        piv = next(i for i in range(c, a.rows) if rows[i][c] != 0)
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for i in range(a.rows):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return tuple(rows[i][-1] for i in range(a.cols))
+def _smith_solve(diag, v, ux):
+    """For U A V = D, with A of full column rank and D's diagonal `diag`:
+    the integer y and q = diag[-1] with A y = q x, given U x for an x in the
+    rational span of A.  (A V = U^-1 D, and every d_i divides q.)"""
+    q = diag[-1] if diag else 1
+    return v.mul_vec(tuple(ux[i] * (q // di) for i, di in enumerate(diag))), q
 
 
-def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    cols = []
-    for j in range(u.rows):
-        e = tuple(1 if i == j else 0 for i in range(u.rows))
-        y = solve_integer(u, e)
-        assert y is not None, "matrix is not unimodular"
-        cols.append(y)
-    return IntMatrix.from_cols(cols, nrows=u.rows)
+def _coords_matrix(sup: Sublattice, vectors) -> IntMatrix:
+    """The coordinates in sup's basis of vectors of `sup`, as columns."""
+    cols = [lattice_coords(sup, v) for v in vectors]
+    assert None not in cols, "vector is not in the lattice"
+    return IntMatrix.from_cols(cols, nrows=sup.rank)
 
 
 def coset_reps(sup: Sublattice, sub: Sublattice):
@@ -216,33 +204,23 @@ def coset_reps(sup: Sublattice, sub: Sublattice):
     return _parallelepiped_points(sup, sub.basis_vectors())
 
 
-def _reps_in_parallelepiped(b: IntMatrix, a: IntMatrix):
-    """Lattice points {B x : x in Z^d} in the half-open parallelepiped spanned
-    by the columns of B A; one per coset of A Z^d in Z^d."""
-    d = a.rows
-    dmat, u, _v = snf(a)
-    uinv = _unimodular_inverse(u)
-    reps = []
-    ranges = [range(dmat.entry(i, i)) for i in range(d)]
-    for c in itertools.product(*ranges):
-        x = uinv.mul_vec(tuple(c))
-        t = _solve_rational(a, x)
-        fl = tuple(floor(ti) for ti in t)
-        xr = vec_sub(x, a.mul_vec(fl))
-        reps.append(b.mul_vec(xr))
-    return reps
-
-
 def _parallelepiped_points(sup: Sublattice, vectors):
     """Points of `sup` in the half-open parallelepiped of the given independent
-    vectors of `sup`, which span a sublattice of full rank; one per coset."""
-    coords = []
-    for v in vectors:
-        y = solve_integer(sup.basis, v)
-        assert y is not None, "vector is not in the lattice"
-        coords.append(y)
-    a = IntMatrix.from_cols(coords, nrows=sup.rank)
-    return _reps_in_parallelepiped(sup.basis, a)
+    vectors of `sup`, which span a sublattice of full rank; one per coset.
+
+    With A the vectors' coordinates in sup's basis and U A V = D, the points
+    U^-1 c for 0 <= c_i < d_i run over the cosets; each one is moved to A
+    times the fractional part of A^-1 U^-1 c = V D^-1 c.
+    """
+    a = _coords_matrix(sup, vectors)
+    dmat, _u, v = snf(a)
+    diag = [dmat.entry(i, i) for i in range(a.rows)]
+    reps = []
+    for c in itertools.product(*(range(di) for di in diag)):
+        y, q = _smith_solve(diag, v, c)
+        frac = a.mul_vec(tuple(yi % q for yi in y))
+        reps.append(sup.basis.mul_vec(tuple(xi // q for xi in frac)))
+    return reps
 
 
 def _triangulate(c: Cone):
@@ -325,7 +303,7 @@ class StratifiedMonoid:
         return sm
 
     def _validate(self):
-        table = dict(self.strata)
+        table = self._table
         if set(table) != set(faces(self.cone)):
             raise BadLatticeFamily(None, self.cone, "strata must cover every face")
         for f, lat in table.items():
@@ -340,11 +318,15 @@ class StratifiedMonoid:
                     if not lattice_contains(table[f2], table[f1]):
                         raise BadLatticeFamily(f1, f2, "strata are not nested along faces")
 
+    @cached_property
+    def _table(self):
+        return dict(self.strata)
+
     def lattice_of(self, face: Cone) -> Sublattice:
-        for f, lat in self.strata:
-            if f == face:
-                return lat
-        raise NotAFace("no stratum for the given face")
+        try:
+            return self._table[face]
+        except KeyError:
+            raise NotAFace("no stratum for the given face") from None
 
     def locate(self, m):
         """The unique face containing m in its relative interior, or None."""
@@ -379,21 +361,11 @@ def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
     """All x in sup with p^e x in sub for some e >= 0 (sub of finite index in sup)."""
     if p == 0 or sub.rank == 0:
         return sub
-    coords = []
-    for v in sub.basis_vectors():
-        y = solve_integer(sup.basis, v)
-        assert y is not None
-        coords.append(y)
-    a = IntMatrix.from_cols(coords, nrows=sup.rank)
-    d, u, _v = snf(a)
-    uinv = _unimodular_inverse(u)
-    frame = sup.basis.mul(uinv)  # columns e_i with sub spanned by d_i * e_i
-    gens = []
-    for i in range(sub.rank):
-        di = d.entry(i, i)
-        while di % p == 0:
-            di //= p
-        gens.append(tuple(di * x for x in frame.col(i)))
+    d, _u, v = snf(_coords_matrix(sup, sub.basis_vectors()))
+    frame = sub.basis.mul(v)  # columns d_i e_i, with e_i a basis of sup
+    # divide column i by the p-part of d_i (p^e divides d_i only for e < bit length)
+    pparts = [gcd(d.entry(i, i), p ** d.entry(i, i).bit_length()) for i in range(sub.rank)]
+    gens = [tuple(x // pe for x in frame.col(i)) for i, pe in enumerate(pparts)]
     return Sublattice.from_generators(sup.ambient_rank, gens)
 
 
@@ -599,17 +571,19 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
         for ray, f in _ray_faces(cone)
     }
     units = group.basis_vectors()
-    bases = [(len(simplex), IntMatrix.from_cols([r[x] for x in simplex] + units, nrows=n))
-             for simplex in _simplices(cone)]
+    bases = []
+    for simplex in _simplices(cone):
+        d, u, v = snf(IntMatrix.from_cols([r[x] for x in simplex] + units, nrows=n))
+        bases.append((len(simplex), [d.entry(i, i) for i in range(d.cols)], u, v))
     spread = {tuple(0 for _ in range(n))}
     for g in sp.generators:
-        for k, b in bases:
-            t = _solve_rational(b, g)
-            if all(ti >= 0 for ti in t[:k]):
+        for k, diag, u, v in bases:
+            y, q = _smith_solve(diag, v, u.mul_vec(g))  # coordinates y / q
+            if all(yi >= 0 for yi in y[:k]):
                 break
         else:
             raise AssertionError(f"{g} lies in no simplex of the cone")
-        c = lcm(*(ti.denominator for ti in t))
+        c = q // gcd(q, *y)
         spread = {vec_add(e, vec_scale(j, g)) for e in spread for j in range(c)}
     sums = _subset_sums(n, list(r.values()))
     return {vec_add(e, t) for e in spread for t in sums}

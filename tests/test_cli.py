@@ -1,5 +1,7 @@
 """Command line interface: commands, formats, exit codes, determinism."""
 
+import hashlib
+import io
 import json
 
 import pytest
@@ -37,6 +39,13 @@ class TestFixturesCommand:
         code, _out, err = run(capsys, "fixtures", "no-such-thing")
         assert code == 1
         assert "unknown fixture" in err
+
+    @pytest.mark.parametrize("name", ["torus-5", "affine-5", "affine-12"])
+    def test_family_rank_capped(self, capsys, name):
+        code, out, err = run(capsys, "fixtures", name)
+        assert code == 1
+        assert out == ""
+        assert err == f"torf: {name}: n must be <= 4\n"
 
     def test_fixture_output_is_schema(self, capsys):
         _code, out, _err = run(capsys, "fixtures", "pinch")
@@ -149,6 +158,31 @@ class TestExactExtraction:
         code, _out, err = run(capsys, "classify", path)
         assert code == 1
         assert "unknown option keys" in err
+
+
+class TestModelOptions:
+    """Model-file options follow the rules of the matching arguments."""
+
+    def test_negative_box_rejected(self, capsys, tmp_path):
+        path = write_model(tmp_path, dict(WIDE_MODEL, options={"box": -1}))
+        for command in ("betti", "forms", "classify"):
+            code, out, err = run(capsys, command, path)
+            assert code == 1
+            assert out == ""
+            assert err == "torf: options.box must be >= 0, got -1\n"
+
+    def test_zero_box_accepted(self, capsys, tmp_path):
+        doc = dict(WIDE_MODEL, monoids={"c": "saturated"}, options={"box": "0"})
+        code, out, err = run(capsys, "betti", write_model(tmp_path, doc))
+        assert code == 0, err
+        assert "(box-truncated(0)): 1, 0, 0" in out
+
+    def test_char_option_rejected(self, capsys, tmp_path):
+        path = write_model(tmp_path, dict(WIDE_MODEL, options={"char": 2}))
+        code, _out, err = run(capsys, "classify", path)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert "unknown option keys: ['char']" in err
 
 
 class TestArguments:
@@ -296,6 +330,26 @@ class TestDeterminism:
         _c, out1, _e = run(capsys, "classify", path, "--format", "machine")
         _c, out2, _e = run(capsys, "classify", path, "--format", "machine")
         assert out1 == out2
+
+    def test_digest_is_of_model_text(self, capsys, tmp_path, monkeypatch):
+        text = run(capsys, "fixtures", "pinch")[1]
+        paths = []
+        for name in ("a.json", "b.json"):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(text)
+
+        def digest(path):
+            code, out, err = run(capsys, "orbits", str(path), "--format", "machine")
+            assert code == 0, err
+            return json.loads(out)["input_digest"]
+
+        assert digest(paths[0]) == digest(paths[1])
+        assert digest(paths[0]) == hashlib.sha256(text.encode()).hexdigest()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert digest("-") == digest(paths[0])
+        edited = tmp_path / "edited.json"
+        edited.write_text(text.replace('"schema"', '"pairs": {}, "schema"'))
+        assert digest(edited) != digest(paths[0])
 
     def test_fixture_emission_stable(self, capsys):
         _c, out1, _e = run(capsys, "fixtures", "normal-crossings-2-2")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from torf.errors import NotASublattice
 from torf.linalg import (
@@ -12,6 +14,7 @@ from torf.linalg import (
     hnf,
     kernel_cols,
     lattice_contains,
+    lattice_coords,
     lattice_index,
     lattice_sum,
     member_lattice,
@@ -19,7 +22,10 @@ from torf.linalg import (
     saturate,
     snf,
     solve_integer,
+    vec_add,
+    vec_sub,
 )
+from torf.monoids import _p_saturation, coset_reps
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -182,3 +188,98 @@ class TestSublattice:
         s = lattice_sum(a, b)
         assert lattice_contains(s, a) and lattice_contains(s, b)
         assert member_lattice(s, (2, 3))
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ENTRY = st.integers(-30, 30)
+
+
+def vectors(n):
+    return st.tuples(*[ENTRY] * n)
+
+
+def full_rank_sublattice(data, sup):
+    """A sublattice of `sup` of the same rank and index at most 3^rank: the
+    span of sup's basis times a lower triangular matrix, which reaches every
+    such sublattice through its column HNF."""
+    r = sup.rank
+    m = [[data.draw(st.integers(1, 3)) if i == j else data.draw(ENTRY) if i > j else 0
+          for j in range(r)] for i in range(r)]
+    cols = IntMatrix.from_rows(m, ncols=r).col_list()
+    return Sublattice.from_generators(sup.ambient_rank, [sup.basis.mul_vec(c) for c in cols])
+
+
+class TestLatticeCoords:
+    """Forward substitution on the stored HNF against the general solver."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_agrees_with_solve_integer(self, data):
+        n = data.draw(st.integers(1, 4))
+        lat = Sublattice.from_generators(n, data.draw(st.lists(vectors(n), max_size=4)))
+        coeffs = tuple(data.draw(st.integers(-30, 30)) for _ in range(lat.rank))
+        inside = lat.basis.mul_vec(coeffs)
+        other = data.draw(vectors(n))
+        assert lattice_coords(lat, inside) == coeffs
+        for v in (inside, other, vec_add(inside, other)):
+            y = lattice_coords(lat, v)
+            assert y == solve_integer(lat.basis, v)
+            assert y is None or lat.basis.mul_vec(y) == v
+            assert member_lattice(lat, v) == (y is not None)
+
+    def test_non_member_rows(self):
+        lat = Sublattice.from_generators(3, [(2, 1, 0), (0, 3, 0)])
+        assert lattice_coords(lat, (2, 4, 0)) == (1, 1)
+        assert lattice_coords(lat, (1, 0, 0)) is None  # pivot does not divide
+        assert lattice_coords(lat, (2, 4, 1)) is None  # remainder below the pivots
+        line = Sublattice.from_generators(3, [(0, 2, 2)])
+        assert lattice_coords(line, (0, 4, 4)) == (2,)
+        assert lattice_coords(line, (1, 2, 2)) is None  # row above the pivot left over
+        assert lattice_coords(Sublattice.zero(2), (0, 0)) == ()
+
+    @PROPERTY
+    @given(st.data())
+    def test_snf_inverse_transform(self, data):
+        # U A V = D gives U^-1 = A V D^-1 column by column, the identity the
+        # parallelepiped and p-saturation code uses instead of inverting U
+        d = data.draw(st.integers(1, 4))
+        a = IntMatrix.from_rows([[data.draw(ENTRY) for _ in range(d)] for _ in range(d)])
+        assume(det(a) != 0)
+        dm, u, v = snf(a)
+        av = a.mul(v)
+        cols = []
+        for i in range(d):
+            assert all(x % dm.entry(i, i) == 0 for x in av.col(i))
+            cols.append([x // dm.entry(i, i) for x in av.col(i)])
+        expected = sympy.Matrix(d, d, list(u.entries)).inv()
+        assert sympy.Matrix(cols).T == expected
+
+    @PROPERTY
+    @given(st.data())
+    def test_coset_reps_count_is_index(self, data):
+        n = data.draw(st.integers(1, 4))
+        sup = Sublattice.from_generators(n, data.draw(st.lists(vectors(n), min_size=1, max_size=4)))
+        assume(sup.rank > 0)
+        sub = full_rank_sublattice(data, sup)
+        reps = coset_reps(sup, sub)
+        assert len(reps) == lattice_index(sub, sup)
+        assert all(member_lattice(sup, x) for x in reps)
+        for i, x in enumerate(reps):
+            assert not any(member_lattice(sub, vec_sub(x, y)) for y in reps[:i])
+
+    @PROPERTY
+    @given(st.data(), st.sampled_from([2, 3]))
+    def test_p_saturation_is_p_primary_part(self, data, p):
+        # sub <= L <= sup with [L : sub] a power of p and [sup : L] prime to
+        # p pins L down: L / sub is the Sylow p-subgroup of sup / sub
+        n = data.draw(st.integers(1, 4))
+        sup = Sublattice.from_generators(n, data.draw(st.lists(vectors(n), min_size=1, max_size=4)))
+        assume(sup.rank > 0)
+        sub = full_rank_sublattice(data, sup)
+        sat = _p_saturation(sub, sup, p)
+        low, high = lattice_index(sub, sat), lattice_index(sat, sup)
+        assert low * high == lattice_index(sub, sup)
+        assert high % p != 0
+        while low % p == 0:
+            low //= p
+        assert low == 1
