@@ -33,7 +33,7 @@ from .cones import (
     is_face_of,
     relint_contains,
 )
-from .linalg import lattice_contains, vec_add, vec_neg
+from .linalg import vec_add, vec_neg
 from .monoids import (
     AffineMonoid,
     Characteristic,
@@ -170,26 +170,12 @@ class RingElem:
     def zero() -> "RingElem":
         return RingElem(())
 
-    def coeff(self, m) -> Fraction:
-        m = tuple(m)
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return Fraction(0)
-
 
 def ring_add(a: RingElem, b: RingElem) -> RingElem:
     acc = {}
     for m, c in a.terms + b.terms:
         acc[m] = acc.get(m, Fraction(0)) + c
     return RingElem(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
-
-
-def ring_scale(c, a: RingElem) -> RingElem:
-    c = Fraction(c)
-    if c == 0:
-        return RingElem.zero()
-    return RingElem(tuple((m, c * cc) for m, cc in a.terms))
 
 
 def degrees_multiply(x: MonoidalComplex, m1, m2) -> bool:
@@ -297,27 +283,16 @@ def classify(x: MonoidalComplex):
     return {c: monoid_gp(s) for c, s in x.assignment}
 
 
-def _validate_family(fan: Fan, family):
+def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
+    """Inverse of classify on seminormal complexes: realize the family via the
+    stratified monoids of each cone and extract generators.
+
+    The span, rank and nesting conditions on the family are checked by
+    `StratifiedMonoid.make`, cone by cone."""
+    fan = fan_validate(fan.ambient_rank, list(fan))
     for c in fan:
         if c not in family:
             raise BadLatticeFamily(c, None, "family must assign a lattice to every cone")
-        lat = family[c]
-        if not lattice_contains(c.span_lattice(), lat):
-            raise BadLatticeFamily(c, None, "lattice not inside the cone span")
-        if lat.rank != c.dim:
-            raise BadLatticeFamily(c, None, "lattice does not have finite index in the span")
-    for t in fan:
-        for c in fan:
-            if t != c and is_face_of(t, c):
-                if not lattice_contains(family[c], family[t]):
-                    raise BadLatticeFamily(t, c, "lattices are not nested along faces")
-
-
-def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
-    """Inverse of classify on seminormal complexes: realize the family via the
-    stratified monoids of each cone and extract generators."""
-    fan = fan_validate(fan.ambient_rank, list(fan))
-    _validate_family(fan, family)
     table = {}
     for c in fan:
         strat = StratifiedMonoid.make(c, {f: family[f] for f in faces(c)})

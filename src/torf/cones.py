@@ -10,9 +10,11 @@ Cones are stored in a canonical form so that equality is structural:
 * `eqs`: canonical HNF basis of the lattice of covectors vanishing on the
   cone (so the cone is `{x : ineqs >= 0, eqs = 0}`).
 
-The V<->H conversions run the double description method starting from the
-full space, which keeps everything exact and handles non-pointed cones and
-implicit equalities without special cases.
+Each construction runs the double description method (from the full space,
+which is exact and handles lineality and implicit equalities) at most once:
+`cone_from_generators` for the H-description, `cone_from_h` for the
+V-description.  `_cone` reads the canonical form off both descriptions, so
+`faces` and `cone_difference` build theirs from the stored ones and run none.
 """
 
 from __future__ import annotations
@@ -145,10 +147,7 @@ class Cone:
     @property
     def generators(self):
         """Integer vectors generating the cone: rays plus +-lineality basis."""
-        return list(self.rays) + list(self.lin_basis) + [vec_neg(l) for l in self.lin_basis]
-
-    def lineality(self) -> Sublattice:
-        return Sublattice.from_generators(self.ambient_rank, list(self.lin_basis))
+        return list(self.rays) + _pm(self.lin_basis)
 
     def span_lattice(self) -> Sublattice:
         return saturate(Sublattice.from_generators(self.ambient_rank, self.generators))
@@ -161,9 +160,6 @@ class Cone:
             vec_dot(a, v) >= 0 for a in self.ineqs
         )
 
-    def is_subspace(self) -> bool:
-        return not self.rays and not self.ineqs
-
     def sort_key(self):
         return (self.dim, self.rays, self.lin_basis)
 
@@ -171,29 +167,33 @@ class Cone:
         return f"Cone(rank={self.ambient_rank}, rays={self.rays}, lin={self.lin_basis})"
 
 
-def _canonical_lattice_basis(n, vectors):
-    lat = saturate(Sublattice.from_generators(n, vectors))
-    return tuple(lat.basis_vectors()), lat
+def _pm(vectors):
+    return list(vectors) + [vec_neg(v) for v in vectors]
 
 
-def _build_cone(n, dual_r, dual_l):
-    """Assemble the canonical Cone whose dual has V-description (dual_r, dual_l)."""
-    eqs, eq_lat = _canonical_lattice_basis(n, dual_l)
-    pi_eq = _projector(eq_lat)
-    ineqs = sorted(
-        dict.fromkeys(
-            vec_primitive(pi_eq(r)) for r in dual_r if not vec_is_zero(pi_eq(r))
-        )
-    )
-    prim_r, prim_l = dual_rays(n, list(ineqs) + list(eqs) + [vec_neg(e) for e in eqs])
-    lin, lin_lat = _canonical_lattice_basis(n, prim_l)
-    pi_lin = _projector(lin_lat)
-    rays = sorted(
-        dict.fromkeys(
-            vec_primitive(pi_lin(r)) for r in prim_r if not vec_is_zero(pi_lin(r))
-        )
-    )
-    return Cone(n, tuple(rays), tuple(lin), tuple(ineqs), tuple(eqs))
+def _cone(n, gens, covectors) -> Cone:
+    """Canonical Cone from a complete pair: cone(gens) = {x : covectors >= 0}.
+
+    Each side is reduced against the other, the generators to the lineality
+    and the rays, the covectors (which generate the dual) to `eqs` and the
+    facet normals.  The smallest face containing v is cut out by the duals
+    tight at v: v lies in the lineality when every dual is tight, and spans
+    an extreme ray when no vector outside it has a strictly larger tight set.
+    """
+    out = []
+    for vecs, duals in ((gens, covectors), (covectors, gens)):
+        tight = [frozenset(i for i, a in enumerate(duals) if vec_dot(a, v) == 0) for v in vecs]
+        full = frozenset(range(len(duals)))
+        lat = saturate(Sublattice.from_generators(
+            n, [v for v, t in zip(vecs, tight) if t == full]))
+        proper = set(tight) - {full}
+        proj = _projector(lat)  # applied to the extreme vectors only
+        out.append(tuple(lat.basis_vectors()))
+        out.append(tuple(sorted(dict.fromkeys(
+            vec_primitive(proj(v)) for v, t in zip(vecs, tight)
+            if t in proper and not any(t < u for u in proper)))))
+    lin, rays, eqs, ineqs = out
+    return Cone(n, rays, lin, ineqs, eqs)
 
 
 def cone_from_generators(n, gens) -> Cone:
@@ -206,19 +206,18 @@ def cone_from_generators(n, gens) -> Cone:
         if not vec_is_zero(g):
             clean.append(g)
     dual_r, dual_l = dual_rays(n, clean)  # V-description of the dual cone
-    c = _build_cone(n, dual_r, dual_l)
+    c = _cone(n, clean, dual_r + _pm(dual_l))
     assert all(c.contains(g) for g in clean), "generator dropped by dual description"
     return c
 
 
 def cone_from_h(n, ineqs, eqs=()) -> Cone:
     """Cone {x : <a,x> >= 0 for a in ineqs, <e,x> = 0 for e in eqs}, canonicalized."""
-    system = [tuple(a) for a in ineqs]
-    for e in eqs:
-        system.append(tuple(e))
-        system.append(vec_neg(tuple(e)))
+    system = [tuple(a) for a in ineqs] + _pm([tuple(e) for e in eqs])
+    if any(len(a) != n for a in system):
+        raise DimensionMismatch("covector length does not match ambient rank")
     r, l = dual_rays(n, system)
-    return cone_from_generators(n, list(r) + list(l) + [vec_neg(x) for x in l])
+    return _cone(n, r + _pm(l), system)
 
 
 def relint_contains(c: Cone, v) -> bool:
@@ -244,7 +243,8 @@ def faces(c: Cone):
     """All faces of c, including c itself and its minimal face, canonically ordered.
 
     Faces are enumerated through the sets of extreme rays annihilated by
-    tight inequality subsets; each distinct ray subset is one face.
+    tight inequality subsets.  Each distinct ray subset s is one face: c with
+    the inequalities tight on s turned into equalities.
     """
     n = c.ambient_rank
     ray_list = list(c.rays)
@@ -258,12 +258,13 @@ def faces(c: Cone):
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    lin_gens = list(c.lin_basis) + [vec_neg(l) for l in c.lin_basis]
-    out = []
+    lin_gens, covs = _pm(c.lin_basis), list(c.ineqs) + _pm(c.eqs)
+    out = set()
     for s in seen:
-        out.append(cone_from_generators(n, [ray_list[i] for i in sorted(s)] + lin_gens))
-    out = sorted(set(out), key=Cone.sort_key)
-    return tuple(out)
+        rays = [ray_list[i] for i in sorted(s)]
+        tight = [vec_neg(a) for a in c.ineqs if all(vec_dot(a, r) == 0 for r in rays)]
+        out.add(_cone(n, rays + lin_gens, covs + tight))
+    return tuple(sorted(out, key=Cone.sort_key))
 
 
 def is_face_of(t: Cone, s: Cone) -> bool:
@@ -275,18 +276,17 @@ def is_face_of(t: Cone, s: Cone) -> bool:
 def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.ambient_rank != c2.ambient_rank:
         raise DimensionMismatch("ambient ranks differ")
-    return cone_from_h(
-        c1.ambient_rank, list(c1.ineqs) + list(c2.ineqs), list(c1.eqs) + list(c2.eqs)
-    )
+    return cone_from_h(c1.ambient_rank, c1.ineqs + c2.ineqs, c1.eqs + c2.eqs)
 
 
 def cone_difference(s: Cone, t: Cone) -> Cone:
     """Cone generated by s together with the negatives of a face t (germ construction)."""
     if not is_face_of(t, s):
         raise NotAFace(f"{t} is not a face of {s}")
-    return cone_from_generators(
-        s.ambient_rank, s.generators + [vec_neg(g) for g in t.generators]
-    )
+    # dual of s + span(t): the face of the dual of s orthogonal to t
+    tg = t.generators
+    covs = [a for a in s.ineqs if all(vec_dot(a, g) == 0 for g in tg)] + _pm(s.eqs)
+    return _cone(s.ambient_rank, s.generators + [vec_neg(g) for g in tg], covs)
 
 
 @dataclass(frozen=True)

@@ -166,11 +166,10 @@ def _parse_monoid_spec(spec, n):
 # building the complex
 
 
-def build_fan(doc: ModelDoc) -> Fan:
-    cones = {name: cone_from_generators(doc.ambient_rank, g)
-             for name, g in doc.cone_gens.items()}
+def build_fan(doc: ModelDoc, named) -> Fan:
+    """The fan of the model, from its name -> cone map `named`."""
     kind, names = doc.fan_spec
-    listed = [cones[x] for x in names]
+    listed = [named[x] for x in names]
     if kind == "face_closure_of":
         closure = []
         for c in listed:
@@ -200,8 +199,8 @@ def build_complex(doc: ModelDoc):
     monoid when no such cone exists.
     """
     n = doc.ambient_rank
-    fan = build_fan(doc)
     named = {name: cone_from_generators(n, g) for name, g in doc.cone_gens.items()}
+    fan = build_fan(doc, named)
     explicit = {}
     for name, spec in doc.monoid_specs.items():
         explicit[named[name]] = _build_monoid(doc, named[name], spec)
@@ -238,7 +237,7 @@ def _vec_out(v):
     return [_s(x) for x in v]
 
 
-def serialize_model(x: MonoidalComplex, pairs=None, options=None) -> dict:
+def serialize_model(x: MonoidalComplex, pairs=None) -> dict:
     """Canonical model document for a complex: every cone named and listed."""
     names = {}
     cones_out = {}
@@ -260,8 +259,6 @@ def serialize_model(x: MonoidalComplex, pairs=None, options=None) -> dict:
         doc["pairs"] = {
             pname: sorted(names[c] for c in subfan) for pname, subfan in pairs.items()
         }
-    if options:
-        doc["options"] = {k: _s(v) for k, v in options.items()}
     return doc
 
 

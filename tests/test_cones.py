@@ -3,8 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torf.errors import BadIntersection, ConeNotInFan, MissingFace, NotAFace
+from torf.errors import (
+    BadIntersection,
+    ConeNotInFan,
+    DimensionMismatch,
+    MissingFace,
+    NotAFace,
+)
 from torf.cones import (
     cone_difference,
     cone_from_generators,
@@ -20,7 +27,7 @@ from torf.cones import (
     relint_contains,
     star_fan,
 )
-from torf.linalg import vec_dot
+from torf.linalg import IntMatrix, rank, vec_dot
 
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
@@ -63,6 +70,11 @@ class TestConeStructure:
     def test_h_and_v_agree(self):
         c = cone_from_h(2, [(1, 0), (0, 1)], [])
         assert c == QUAD
+
+    def test_h_dimension_mismatch(self):
+        for ineqs, eqs in (([(1, 0, 5)], []), ([(1,)], []), ([(1, 0)], [(0, 1, 0)])):
+            with pytest.raises(DimensionMismatch):
+                cone_from_h(2, ineqs, eqs)
 
     def test_canonical_equality(self):
         c1 = cone_from_generators(2, [(1, 0), (0, 1), (1, 1)])
@@ -164,3 +176,41 @@ class TestFans:
         mini = fan_minimal_cone(f)
         assert mini.rays == ()
         assert mini.lin_dim == 1
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def cones(draw):
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    return cone_from_generators(n, draw(st.lists(vec, max_size=7)))
+
+
+class TestConeProperties:
+    """Every construction path gives the same canonical cone."""
+
+    @PROPERTY
+    @given(cones())
+    def test_h_and_v_roundtrip(self, c):
+        n = c.ambient_rank
+        assert cone_from_h(n, c.ineqs, c.eqs) == c == cone_from_generators(n, c.generators)
+
+    @PROPERTY
+    @given(cones())
+    def test_faces_and_differences_match_generators(self, c):
+        n = c.ambient_rank
+        for f in faces(c):
+            assert f == cone_from_generators(n, f.generators)
+            d = cone_difference(c, f)
+            assert d == cone_from_generators(n, d.generators)
+
+    @PROPERTY
+    @given(cones())
+    def test_rays_are_extreme(self, c):
+        # r is extreme iff the constraints tight at r have rank n - lin_dim - 1
+        n = c.ambient_rank
+        for r in c.rays:
+            tight = [a for a in c.ineqs if vec_dot(a, r) == 0] + list(c.eqs)
+            assert rank(IntMatrix.from_rows(tight, ncols=n)) == n - c.lin_dim - 1
