@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from .errors import ParseError, TorfError, UnknownFixture
@@ -33,6 +34,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+
+MAX_BOX_DEGREES = 10**5  # largest box, in degrees, that betti/forms enumerate
 
 
 def _vec_str(v):
@@ -144,6 +147,18 @@ def _build_parser():
     return p
 
 
+def _box(args, doc):
+    """The --box bound, else the model's options.box, else 4; refused when
+    the box holds more than MAX_BOX_DEGREES degrees."""
+    box = args.box if args.box is not None else doc.options.get("box", 4)
+    side, n = 2 * box + 1, doc.ambient_rank
+    digits = n * math.log10(side)  # of the (2b+1)^n degrees, which may be huge
+    if digits > math.log10(MAX_BOX_DEGREES):
+        raise ParseError(f"box {box} in rank {n} spans {side}^{n}, about {10 ** (digits % 1):.1f}"
+                         f"e{int(digits)} degrees; the limit is {MAX_BOX_DEGREES}")
+    return box
+
+
 def _get_pair(pairs, name):
     if name not in pairs:
         raise ParseError(f"unknown pair {name!r}")
@@ -165,6 +180,8 @@ def cmd_validate(args, rep):
     doc = _load(args.file, rep)
     try:
         x, pairs = build_complex(doc)
+    except ParseError:  # a model error found while building, e.g. two monoids on one cone
+        raise
     except TorfError as e:
         rep.results["valid"] = False
         rep.results["error"] = type(e).__name__
@@ -260,9 +277,9 @@ def cmd_orbits(args, rep):
 
 def cmd_betti(args, rep):
     doc = _load(args.file, rep)
+    box = None if args.theoretical else _box(args, doc)
     x, pairs = build_complex(doc)
     subfan = _get_pair(pairs, args.pair) if args.pair else None
-    box = args.box if args.box is not None else doc.options.get("box", 4)
     table = betti(x, pair_subfan=subfan, box_bound=box,
                   theoretical=args.theoretical)
     rep.results["betti"] = [str(d) for d in table.dims]
@@ -289,8 +306,8 @@ def cmd_germ(args, rep):
 
 def cmd_forms(args, rep):
     doc = _load(args.file, rep)
+    box = _box(args, doc)
     x, pairs = build_complex(doc)
-    box = args.box if args.box is not None else doc.options.get("box", 4)
     p = args.p
     rep.results["p"] = p
     rep.results["box"] = str(box)

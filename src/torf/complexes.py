@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
-    BadLatticeFamily,
     CompatibilityFailure,
     ConeNotInFan,
     DegreeNotInSupport,
@@ -26,7 +25,7 @@ from .cones import (
     Cone,
     Fan,
     cone_difference,
-    faces,
+    face_fan_closure,
     fan_facets,
     fan_minimal_cone,
     fan_validate,
@@ -74,14 +73,14 @@ class MonoidalComplex:
 
 
 def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
-    """Check the monoidal complex axioms and return the validated complex.
+    """Check the monoid axioms over a fan (validated when it was built) and
+    return the validated complex.
 
     Generation: each monoid generates exactly its assigned cone.  Face
     compatibility S_tau = S_sigma `intersect` tau is checked exactly on
     generators: S_sigma intersect tau is generated by the generators of
     S_sigma lying in the face tau.
     """
-    fan = fan_validate(n, list(fan))
     table = {}
     for c in fan:
         if c not in monoid_of:
@@ -230,17 +229,16 @@ def _check_subfan(x: MonoidalComplex, subfan: Fan):
 
 
 def subcomplex(x: MonoidalComplex, subfan: Fan) -> MonoidalComplex:
+    """Restriction of x to a subfan; the axioms hold on it as they do on x."""
     _check_subfan(x, subfan)
-    table = {c: x.monoid_of(c) for c in subfan}
-    return complex_validate(x.ambient_rank, subfan, table)
+    return MonoidalComplex(x.ambient_rank, subfan, tuple((c, x.monoid_of(c)) for c in subfan))
 
 
 def components(x: MonoidalComplex):
     """Irreducible components: the subcomplex over each facet's face closure."""
     out = []
     for f in fan_facets(x.fan):
-        sub = Fan(x.ambient_rank, tuple(sorted(faces(f), key=lambda c: c.sort_key())))
-        out.append(subcomplex(x, sub))
+        out.append(subcomplex(x, face_fan_closure(x.ambient_rank, [f])))
     return out
 
 
@@ -287,16 +285,9 @@ def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
     """Inverse of classify on seminormal complexes: realize the family via the
     stratified monoids of each cone and extract generators.
 
-    The span, rank and nesting conditions on the family are checked by
-    `StratifiedMonoid.make`, cone by cone."""
-    fan = fan_validate(fan.ambient_rank, list(fan))
-    for c in fan:
-        if c not in family:
-            raise BadLatticeFamily(c, None, "family must assign a lattice to every cone")
-    table = {}
-    for c in fan:
-        strat = StratifiedMonoid.make(c, {f: family[f] for f in faces(c)})
-        table[c] = from_strata(strat)
+    The coverage, span, rank and nesting conditions on the family are checked
+    by `StratifiedMonoid.make`, cone by cone."""
+    table = {c: from_strata(StratifiedMonoid.make(c, family)) for c in fan}
     return _revalidate(fan, table)
 
 
@@ -312,13 +303,10 @@ def germ_at(x: MonoidalComplex, t: Cone) -> MonoidalComplex:
     st = x.monoid_of(t)
     neg = [vec_neg(g) for g in st.generators]
     table = {}
-    cones = []
     for c, s in x.assignment:
         if not is_face_of(t, c):
             continue
         diff = cone_difference(c, t)
         assert diff not in table, "star correspondence must be one to one"
         table[diff] = AffineMonoid.make(n, list(s.generators) + neg)
-        cones.append(diff)
-    star = Fan(n, tuple(sorted(cones, key=lambda c: c.sort_key())))
-    return complex_validate(n, star, table)
+    return complex_validate(n, fan_validate(n, table), table)

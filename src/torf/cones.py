@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from .errors import (
     BadIntersection,
-    ConeNotInFan,
     DimensionMismatch,
     MissingFace,
     NotAFace,
@@ -291,10 +290,11 @@ def cone_difference(s: Cone, t: Cone) -> Cone:
 
 @dataclass(frozen=True)
 class Fan:
-    """Validated fan: face-closed, pairwise intersections are common faces."""
+    """Validated fan: face-closed, pairwise intersections are common faces.
+    Only `fan_validate` builds one; functions that take a Fan do not recheck it."""
 
     ambient_rank: int
-    cones: tuple
+    cones: tuple  # canonical order
 
     def __contains__(self, c):
         return c in self.cones
@@ -307,20 +307,26 @@ class Fan:
 
 
 def fan_validate(n, cones) -> Fan:
-    """Check the fan axioms; report violations instead of repairing them."""
+    """Check the fan axioms; report violations instead of repairing them.
+
+    Two faces of one listed cone meet in a face of it, hence in a common face,
+    so only pairs that are not faces of one listed cone are intersected."""
     cone_list = sorted(set(cones), key=Cone.sort_key)
     if not cone_list:
         raise MissingFace(None, None)
     for c in cone_list:
         if c.ambient_rank != n:
             raise DimensionMismatch("cone ambient rank does not match fan")
-    present = set(cone_list)
-    for c in cone_list:
+    above = {c: set() for c in cone_list}  # indices of the listed cones c is a face of
+    for i, c in enumerate(cone_list):
         for f in faces(c):
-            if f not in present:
+            if f not in above:
                 raise MissingFace(c, f)
+            above[f].add(i)
     for i, c1 in enumerate(cone_list):
         for c2 in cone_list[i + 1 :]:
+            if above[c1] & above[c2]:
+                continue
             common = intersect(c1, c2)
             if not (is_face_of(common, c1) and is_face_of(common, c2)):
                 raise BadIntersection(c1, c2, witness=relint_point(common))
@@ -328,34 +334,16 @@ def fan_validate(n, cones) -> Fan:
 
 
 def face_fan_closure(n, cones) -> Fan:
-    """Convenience constructor: close the given cones under faces, then validate."""
-    closed = set()
-    for c in cones:
-        closed.update(faces(c))
-    return fan_validate(n, closed)
+    """Close the given cones under faces, then validate."""
+    return fan_validate(n, {f for c in cones for f in faces(c)})
 
 
 def fan_facets(f: Fan):
-    """Inclusion-maximal cones of the fan."""
-    out = []
-    for c in f.cones:
-        if not any(o != c and is_face_of(c, o) for o in f.cones):
-            out.append(c)
-    return sorted(out, key=Cone.sort_key)
+    """Inclusion-maximal cones of the fan, in canonical order."""
+    return [c for c in f.cones if not any(o != c and is_face_of(c, o) for o in f.cones)]
 
 
 def fan_minimal_cone(f: Fan) -> Cone:
-    """Intersection of all cones of the fan; always a member (and a subspace)."""
-    acc = f.cones[0]
-    for c in f.cones[1:]:
-        acc = intersect(acc, c)
-    assert acc in f.cones, "minimal cone of a valid fan must be a member"
-    return acc
-
-
-def star_fan(f: Fan, t: Cone) -> Fan:
-    """The germ fan {sigma - t : t < sigma in f}."""
-    if t not in f.cones:
-        raise ConeNotInFan(f"{t} is not a cone of the fan")
-    out = {cone_difference(s, t) for s in f.cones if is_face_of(t, s)}
-    return fan_validate(f.ambient_rank, out)
+    """Intersection of all cones of the fan (a subspace).  It is a face of
+    each, so the unique cone of least dimension, first in canonical order."""
+    return f.cones[0]

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import UnknownFixture
-from .cones import Fan, cone_from_generators, face_fan_closure, faces, fan_validate
+from .cones import Fan, cone_from_generators, face_fan_closure, fan_validate
 from .complexes import (
     MonoidalComplex,
     complex_from_monoid_subfan,
@@ -69,10 +69,7 @@ def _normal_crossings(q, d) -> MonoidalComplex:
         facets.append(
             cone_from_generators(n, [_unit(n, j) for j in range(n) if j != i])
         )
-    closure = []
-    for f in facets:
-        closure.extend(faces(f))
-    return complex_from_monoid_subfan(s, fan_validate(n, closure))
+    return complex_from_monoid_subfan(s, face_fan_closure(n, facets))
 
 
 def _axes_cross() -> MonoidalComplex:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .cones import Cone, Fan, cone_from_generators, faces, fan_validate
+from .cones import Cone, Fan, cone_from_generators, face_fan_closure, fan_validate
 from .complexes import MonoidalComplex, complex_validate
 from .monoids import (
     AffineMonoid,
@@ -103,6 +103,8 @@ def parse_model(text: str) -> ModelDoc:
         )
     else:
         raise ParseError("fan must be a list of cone names or {'face_closure_of': [...]}")
+    if not fan_spec[1]:
+        raise ParseError("fan must list at least one cone")
     monoid_specs = {}
     for name, spec in (doc.get("monoids") or {}).items():
         if name not in cone_gens:
@@ -113,8 +115,8 @@ def parse_model(text: str) -> ModelDoc:
     if not isinstance(raw_pairs, dict):
         raise ParseError("pairs must be an object")
     for pname, names in raw_pairs.items():
-        if not isinstance(names, list):
-            raise ParseError(f"pair {pname!r} must list cone names")
+        if not isinstance(names, list) or not names:
+            raise ParseError(f"pair {pname!r} must list at least one cone name")
         pair_specs[pname] = [_cone_name(x, cone_gens) for x in names]
     options = {}
     raw_opts = doc.get("options") or {}
@@ -171,10 +173,7 @@ def build_fan(doc: ModelDoc, named) -> Fan:
     kind, names = doc.fan_spec
     listed = [named[x] for x in names]
     if kind == "face_closure_of":
-        closure = []
-        for c in listed:
-            closure.extend(faces(c))
-        listed = closure
+        return face_fan_closure(doc.ambient_rank, listed)
     return fan_validate(doc.ambient_rank, listed)
 
 
@@ -201,9 +200,14 @@ def build_complex(doc: ModelDoc):
     n = doc.ambient_rank
     named = {name: cone_from_generators(n, g) for name, g in doc.cone_gens.items()}
     fan = build_fan(doc, named)
-    explicit = {}
+    explicit, owner = {}, {}
     for name, spec in doc.monoid_specs.items():
-        explicit[named[name]] = _build_monoid(doc, named[name], spec)
+        c = named[name]
+        if c in owner:
+            raise ParseError(f"cones {owner[c]!r} and {name!r} are the same cone; "
+                             "only one of them may have a monoid")
+        owner[c] = name
+        explicit[c] = _build_monoid(doc, c, spec)
     table = {}
     for c in fan:
         if c in explicit:
@@ -216,12 +220,10 @@ def build_complex(doc: ModelDoc):
         else:
             table[c] = AffineMonoid.make(n, cone_lattice_generators(c))
     x = complex_validate(n, fan, table)
-    pairs = {}
-    for pname, names in doc.pair_specs.items():
-        closure = []
-        for cname in names:
-            closure.extend(faces(named[cname]))
-        pairs[pname] = fan_validate(n, closure)
+    pairs = {
+        pname: face_fan_closure(n, [named[c] for c in names])
+        for pname, names in doc.pair_specs.items()
+    }
     return x, pairs
 
 

@@ -293,19 +293,19 @@ class StratifiedMonoid:
     strata: tuple  # ((face, Sublattice), ...) sorted by face sort key
 
     @staticmethod
-    def make(cone: Cone, lattice_of, validate=True):
+    def make(cone: Cone, lattice_of):
+        for f in faces(cone):
+            if f not in lattice_of:
+                raise BadLatticeFamily(f, cone, "strata must cover every face")
         items = tuple(sorted(
             ((f, lattice_of[f]) for f in faces(cone)), key=lambda kv: kv[0].sort_key()
         ))
         sm = StratifiedMonoid(cone, items)
-        if validate:
-            sm._validate()
+        sm._validate()
         return sm
 
     def _validate(self):
         table = self._table
-        if set(table) != set(faces(self.cone)):
-            raise BadLatticeFamily(None, self.cone, "strata must cover every face")
         for f, lat in table.items():
             span = f.span_lattice()
             if not lattice_contains(span, lat):

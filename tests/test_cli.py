@@ -64,6 +64,22 @@ class TestValidate:
         code, out, _err = run(capsys, "validate", path)
         assert code == 2
         assert expected in out
+        code, out, _err = run(capsys, "validate", path, "--format", "machine")
+        assert code == 2
+        res = json.loads(out)["results"]
+        assert res["error"] == expected
+        if name == "broken-overlap":
+            assert res["witness"] == ["0", "1"]
+
+    def test_strata_missing_a_face_invalid(self, capsys, tmp_path):
+        doc = {
+            "schema": SCHEMA, "ambient_rank": "1", "cones": {"a": [["1"]]},
+            "fan": {"face_closure_of": ["a"]},
+            "monoids": {"a": {"strata": [{"face": [["1"]], "basis": [["2"]]}]}},
+        }
+        code, out, _err = run(capsys, "validate", write_model(tmp_path, doc), "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["results"]["error"] == "BadLatticeFamily"
 
     def test_parse_error_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -177,6 +193,33 @@ class TestModelOptions:
         assert code == 0, err
         assert "(box-truncated(0)): 1, 0, 0" in out
 
+    @pytest.mark.parametrize("fan", [[], {"face_closure_of": []}])
+    def test_empty_fan_rejected(self, capsys, tmp_path, fan):
+        path = write_model(tmp_path, dict(WIDE_MODEL, fan=fan))
+        code, out, err = run(capsys, "validate", path)
+        assert code == 1
+        assert out == ""
+        assert err == "torf: fan must list at least one cone\n"
+
+    def test_empty_pair_rejected(self, capsys, tmp_path):
+        path = write_model(tmp_path, dict(WIDE_MODEL, pairs={"p": []}))
+        code, _out, err = run(capsys, "validate", path)
+        assert code == 1
+        assert err == "torf: pair 'p' must list at least one cone name\n"
+
+    def test_two_monoids_on_one_cone_rejected(self, capsys, tmp_path):
+        doc = {
+            "schema": SCHEMA, "ambient_rank": "1",
+            "cones": {"a": [["1"]], "b": [["1"]], "z": []},
+            "fan": ["a", "z"],
+            "monoids": {"a": {"generators": [["2"], ["3"]]}, "b": {"generators": [["1"]]}},
+        }
+        code, out, err = run(capsys, "validate", write_model(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "'a' and 'b' are the same cone" in err
+
     def test_char_option_rejected(self, capsys, tmp_path):
         path = write_model(tmp_path, dict(WIDE_MODEL, options={"char": 2}))
         code, _out, err = run(capsys, "classify", path)
@@ -273,6 +316,35 @@ class TestBetti:
                               "--format", "machine")
         assert code == 0
         assert json.loads(out)["results"]["betti"] == ["0", "0", "0"]
+
+    @pytest.mark.parametrize("command", ["betti", "forms"])
+    def test_large_box_refused(self, capsys, tmp_path, command):
+        path = write_fixture(capsys, tmp_path, "torus-3")
+        code, out, err = run(capsys, command, path, "--box", "100")
+        assert code == 1
+        assert out == ""
+        assert err == ("torf: box 100 in rank 3 spans 201^3, about 8.1e6 degrees; "
+                       "the limit is 100000\n")
+
+    def test_large_options_box_refused(self, capsys, tmp_path):
+        doc = dict(WIDE_MODEL, monoids={"c": "saturated"}, options={"box": "1000"})
+        code, _out, err = run(capsys, "betti", write_model(tmp_path, doc))
+        assert code == 1
+        assert "box 1000 in rank 2 spans 2001^2" in err
+
+    def test_box_under_limit_accepted(self, capsys, tmp_path):
+        # 2001^1 degrees, under the limit
+        path = write_fixture(capsys, tmp_path, "torus-1")
+        code, out, err = run(capsys, "betti", path, "--box", "1000", "--format", "machine")
+        assert code == 0, err
+        assert json.loads(out)["results"]["betti"] == ["1", "1"]
+
+    def test_theoretical_never_refused(self, capsys, tmp_path):
+        path = write_fixture(capsys, tmp_path, "torus-3")
+        code, out, err = run(capsys, "betti", path, "--theoretical", "--box", "100",
+                             "--format", "machine")
+        assert code == 0, err
+        assert json.loads(out)["results"]["betti"] == ["1", "3", "3", "1"]
 
     def test_unknown_pair(self, capsys, tmp_path):
         path = write_fixture(capsys, tmp_path, "affine-2")

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import torf.complexes
+import torf.cones
 from torf.errors import (
     BadLatticeFamily,
     CompatibilityFailure,
+    ConeNotInFan,
     GenerationFailure,
     NotASubfan,
 )
@@ -273,6 +276,15 @@ class TestClassification:
         with pytest.raises(BadLatticeFamily):
             complex_from_lattice_family(face_fan_closure(2, [QUAD]), fam)
 
+    def test_missing_cone_rejected(self):
+        fam = {
+            QUAD: Sublattice.from_generators(2, [(1, 0), (0, 1)]),
+            XRAY: Sublattice.from_generators(2, [(1, 0)]),
+            ZERO2: Sublattice.zero(2),
+        }
+        with pytest.raises(BadLatticeFamily):
+            complex_from_lattice_family(face_fan_closure(2, [QUAD]), fam)
+
     def test_infinite_index_rejected(self):
         fam = {
             QUAD: Sublattice.from_generators(2, [(1, 0)]),
@@ -288,11 +300,16 @@ class TestGerms:
     def test_germ_at_ray(self):
         x = n2_complex()
         g = germ_at(x, XRAY)
-        assert len(g.cones()) == 2
+        assert sorted((c.dim, c.lin_dim) for c in g.fan) == [(1, 1), (2, 1)]
         half = [c for c in g.cones() if c.dim == 2][0]
         s = g.monoid_of(half)
         assert member(s, (-3, 0)) and member(s, (2, 1))
         assert not member(s, (0, -1))
+
+    def test_germ_requires_membership(self):
+        diag = cone_from_generators(2, [(1, 1)])
+        with pytest.raises(ConeNotInFan):
+            germ_at(n2_complex(), diag)
 
     def test_germ_at_minimal_is_identity(self):
         x = n2_complex()
@@ -306,3 +323,26 @@ class TestGerms:
 
         mini = fan_minimal_cone(g.fan)
         assert mini.rays == () and mini.lin_dim == 1
+
+
+class TestNoRevalidation:
+    """A Fan is validated where it is built; complexes over it do not recheck it."""
+
+    def test_no_fan_validate_downstream(self, monkeypatch):
+        x = n2_complex()
+        sub = fan_validate(2, [XRAY, YRAY, ZERO2])
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+
+        counting(torf.cones, "fan_validate")
+        counting(torf.complexes, "fan_validate")
+        assert complex_validate(2, x.fan, dict(x.assignment)) == x
+        assert complex_from_lattice_family(x.fan, classify(x)).fan == x.fan
+        counting(torf.complexes, "complex_validate")
+        y = subcomplex(x, sub)
+        assert calls == []
+        assert y.cones() == list(sub)
+        assert all(y.monoid_of(c) == x.monoid_of(c) for c in sub)

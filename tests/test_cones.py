@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from torf.errors import (
     BadIntersection,
-    ConeNotInFan,
     DimensionMismatch,
     MissingFace,
     NotAFace,
 )
 from torf.cones import (
+    Cone,
     cone_difference,
     cone_from_generators,
     cone_from_h,
@@ -25,7 +25,7 @@ from torf.cones import (
     intersect,
     is_face_of,
     relint_contains,
-    star_fan,
+    relint_point,
 )
 from torf.linalg import IntMatrix, rank, vec_dot
 
@@ -157,19 +157,6 @@ class TestFans:
         # zero, three rays, and two maximal cones; the shared ray is deduplicated
         assert len(f) == 6
 
-    def test_star_fan(self):
-        f = face_fan_closure(2, [QUAD])
-        s = star_fan(f, XRAY)
-        assert len(s) == 2
-        dims = sorted((c.dim, c.lin_dim) for c in s)
-        assert dims == [(1, 1), (2, 1)]
-
-    def test_star_requires_membership(self):
-        f = face_fan_closure(2, [QUAD])
-        diag = cone_from_generators(2, [(1, 1)])
-        with pytest.raises(ConeNotInFan):
-            star_fan(f, diag)
-
     def test_minimal_cone_is_subspace(self):
         half = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
         f = face_fan_closure(2, [half])
@@ -214,3 +201,40 @@ class TestConeProperties:
         for r in c.rays:
             tight = [a for a in c.ineqs if vec_dot(a, r) == 0] + list(c.eqs)
             assert rank(IntMatrix.from_rows(tight, ncols=n)) == n - c.lin_dim - 1
+
+
+def all_pairs_failure(cones):
+    """First pair, in canonical order, whose intersection is not a common
+    face, as (cone1, cone2, witness); None when every pair passes."""
+    cone_list = sorted(set(cones), key=Cone.sort_key)
+    for i, c1 in enumerate(cone_list):
+        for c2 in cone_list[i + 1 :]:
+            common = intersect(c1, c2)
+            if not (is_face_of(common, c1) and is_face_of(common, c2)):
+                return c1, c2, relint_point(common)
+    return None
+
+
+@st.composite
+def face_closures(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    cone = st.lists(vec, max_size=3).map(lambda gens: cone_from_generators(n, gens))
+    tops = draw(st.lists(cone, min_size=2, max_size=3))
+    return n, {f for c in tops for f in faces(c)}
+
+
+class TestFanValidateProperties:
+    """Skipping pairs that share a cone changes no verdict and no witness."""
+
+    @PROPERTY
+    @given(face_closures())
+    def test_matches_all_pairs_check(self, case):
+        n, closure = case
+        failure = all_pairs_failure(closure)
+        if failure is None:
+            assert fan_validate(n, closure).cones == tuple(sorted(closure, key=Cone.sort_key))
+        else:
+            with pytest.raises(BadIntersection) as e:
+                fan_validate(n, closure)
+            assert (e.value.cone1, e.value.cone2, e.value.witness) == failure
