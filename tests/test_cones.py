@@ -142,6 +142,16 @@ class TestFans:
         assert fan_facets(f) == [QUAD]
         assert fan_minimal_cone(f) == ZERO2
 
+    def test_star_fan(self):
+        # the star of XRAY: each cone having XRAY as a face, with XRAY negated
+        f = face_fan_closure(2, [QUAD])
+        star = [cone_difference(c, XRAY) for c in f if is_face_of(XRAY, c)]
+        s = fan_validate(2, star)
+        assert len(s) == 2
+        dims = sorted((c.dim, c.lin_dim) for c in s)
+        assert dims == [(1, 1), (2, 1)]
+        assert fan_minimal_cone(s) == cone_from_generators(2, [(1, 0), (-1, 0)])
+
     def test_missing_face_rejected(self):
         with pytest.raises(MissingFace):
             fan_validate(2, [QUAD, ZERO2])
