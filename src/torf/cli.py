@@ -24,8 +24,6 @@ from .complexes import (
     sn_complex,
     wn_complex,
 )
-from .derham import betti, hdiff_general, pair_dims
-from .fixtures import broken_fixture_names, fixture, fixture_names
 from .linalg import lattice_index, saturate
 from .model import build_complex, model_to_text, parse_model, serialize_model
 from .monoids import Characteristic, stratify
@@ -276,6 +274,8 @@ def cmd_orbits(args, rep):
 
 
 def cmd_betti(args, rep):
+    from .derham import betti  # each command imports only the layers it runs
+
     doc = _load(args.file, rep)
     box = None if args.theoretical else _box(args, doc)
     x, pairs = build_complex(doc)
@@ -305,6 +305,8 @@ def cmd_germ(args, rep):
 
 
 def cmd_forms(args, rep):
+    from .derham import hdiff_general, pair_dims
+
     doc = _load(args.file, rep)
     box = _box(args, doc)
     x, pairs = build_complex(doc)
@@ -341,6 +343,8 @@ def cmd_forms(args, rep):
 
 
 def cmd_fixtures(args, rep):
+    from .fixtures import broken_fixture_names, fixture, fixture_names
+
     if args.file is None:
         raise UnknownFixture(
             "fixtures requires a name; known: "

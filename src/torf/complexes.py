@@ -8,8 +8,6 @@ monomials survives exactly when both degrees live in a common cone monoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -49,8 +47,9 @@ from .monoids import (
     stratify,
     weak_normalization,
 )
+from .values import value
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class MonoidalComplex:
     """Fan with one affine monoid per cone, compatible along faces."""
 
@@ -146,7 +145,7 @@ def support_box(x: MonoidalComplex, bound):
 # ring arithmetic
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class RingElem:
     """Finite rational linear combination of monomials chi^m, m in the support."""
 
@@ -154,6 +153,8 @@ class RingElem:
 
     @staticmethod
     def make(x: MonoidalComplex, mapping) -> "RingElem":
+        from fractions import Fraction  # not needed at start-up
+
         clean = {}
         for m, c in dict(mapping).items():
             m = tuple(int(v) for v in m)
@@ -162,7 +163,7 @@ class RingElem:
                 continue
             if not in_support(x, m):
                 raise DegreeNotInSupport(f"degree {m} is not in the support")
-            clean[m] = clean.get(m, Fraction(0)) + c
+            clean[m] = clean.get(m, 0) + c
         return RingElem(tuple(sorted((m, c) for m, c in clean.items() if c != 0)))
 
     @staticmethod
@@ -173,7 +174,7 @@ class RingElem:
 def ring_add(a: RingElem, b: RingElem) -> RingElem:
     acc = {}
     for m, c in a.terms + b.terms:
-        acc[m] = acc.get(m, Fraction(0)) + c
+        acc[m] = acc.get(m, 0) + c
     return RingElem(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
 
 
@@ -193,7 +194,7 @@ def ring_mult(x: MonoidalComplex, a: RingElem, b: RingElem) -> RingElem:
         for m2, c2 in b.terms:
             if degrees_multiply(x, m1, m2):
                 m = vec_add(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
     return RingElem(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
 
 
@@ -206,7 +207,7 @@ def ring_restrict(x: MonoidalComplex, y: MonoidalComplex, a: RingElem) -> RingEl
 # orbits, subcomplexes, components
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class OrbitTable:
     rows: tuple  # ((cone, Sublattice, is_facet, is_closed), ...)
 

@@ -19,7 +19,6 @@ V-description.  `_cone` reads the canonical form off both descriptions, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -39,6 +38,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
+from .values import value
 
 
 def dual_rays(n, covectors):
@@ -125,7 +125,7 @@ def _projector(lat: Sublattice):
     return proj
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Cone:
     """Rational polyhedral cone in canonical form; hashable, equality is structural."""
 
@@ -288,7 +288,7 @@ def cone_difference(s: Cone, t: Cone) -> Cone:
     return _cone(s.ambient_rank, s.generators + [vec_neg(g) for g in tg], covs)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Fan:
     """Validated fan: face-closed, pairwise intersections are common faces.
     Only `fan_validate` builds one; functions that take a Fan do not recheck it."""

@@ -10,7 +10,6 @@ fiberwise by exact integer rank computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -33,9 +32,10 @@ from .complexes import (
 )
 from .linalg import IntMatrix, det, lattice_coords, rank, vec_add
 from .monoids import Characteristic, box_points, member, monoid_gp, relint_contains
+from .values import value
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class FormSpace:
     """The rational span of the stratum lattice at a support degree."""
 
@@ -48,7 +48,7 @@ class FormSpace:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class GradedForm:
     """Finite sum of terms chi^m eta_m with eta_m a p-multivector at m.
 
@@ -60,7 +60,7 @@ class GradedForm:
     terms: tuple  # ((m, coords tuple of Fraction), ...) sorted by m
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class FiberComplex:
     """Koszul complex (wedge^* V_m, alpha(m) wedge -) at one degree."""
 
@@ -69,7 +69,7 @@ class FiberComplex:
     matrices: tuple  # matrices[p]: wedge^p -> wedge^{p+1}, IntMatrix
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class BettiTable:
     dims: tuple
     mode: str

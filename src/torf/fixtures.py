@@ -6,7 +6,6 @@ validator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import UnknownFixture
 from .cones import Fan, cone_from_generators, face_fan_closure, fan_validate
@@ -17,13 +16,14 @@ from .complexes import (
 )
 from .model import SCHEMA, serialize_model
 from .monoids import AffineMonoid, monoid_cone
+from .values import value
 
 
-@dataclass
+@value
 class FixtureData:
     name: str
     complex: MonoidalComplex
-    pairs: dict = field(default_factory=dict)  # pair name -> Fan
+    pairs: dict  # pair name -> Fan
     extension: tuple = None  # optional (S, S') pair of monoids
     model: dict = None  # model-file document
 
@@ -134,7 +134,7 @@ def fixture(name: str) -> FixtureData:
     if name == "axes-cross":
         return _pack(name, _axes_cross())
     if name in broken_fixture_names():
-        return FixtureData(name, None, model=_broken_model(name))
+        return FixtureData(name, None, {}, model=_broken_model(name))
     raise UnknownFixture(f"unknown fixture {name!r}")
 
 

@@ -16,11 +16,11 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
 from .errors import DimensionMismatch, NotASublattice
+from .values import value
 
 
 def vec_add(u, v):
@@ -57,7 +57,7 @@ def vec_primitive(u):
     return tuple(a // g for a in u)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major entries."""
 
@@ -382,7 +382,7 @@ def kernel_cols(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(ker, nrows=a.cols)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Sublattice:
     """Finite-rank sublattice of Z^n, stored via its canonical HNF basis."""
 

@@ -8,7 +8,6 @@ uses decimal strings.  Unknown keys are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .cones import Cone, Fan, cone_from_generators, face_fan_closure, fan_validate
@@ -22,6 +21,7 @@ from .monoids import (
     is_face_of,
 )
 from .linalg import Sublattice
+from .values import value
 
 SCHEMA = "torf-1"
 
@@ -55,7 +55,7 @@ def _vector_list(v, n):
     return [_vector(x, n) for x in v]
 
 
-@dataclass
+@value
 class ModelDoc:
     """Parsed but not yet mathematically validated model file."""
 
@@ -64,7 +64,7 @@ class ModelDoc:
     fan_spec: tuple  # ("list", names) or ("face_closure_of", names)
     monoid_specs: dict  # name -> ("generators", vecs) | ("saturated",) | ("strata", items)
     pair_specs: dict  # name -> list of cone names
-    options: dict = field(default_factory=dict)
+    options: dict
 
 
 def parse_model(text: str) -> ModelDoc:
@@ -177,7 +177,7 @@ def build_fan(doc: ModelDoc, named) -> Fan:
     return fan_validate(doc.ambient_rank, listed)
 
 
-def _build_monoid(doc: ModelDoc, cone: Cone, spec) -> AffineMonoid:
+def _build_monoid(doc: ModelDoc, name, cone: Cone, spec) -> AffineMonoid:
     n = doc.ambient_rank
     if spec[0] == "saturated":
         return AffineMonoid.make(n, cone_lattice_generators(cone))
@@ -186,6 +186,9 @@ def _build_monoid(doc: ModelDoc, cone: Cone, spec) -> AffineMonoid:
     table = {}
     for face_gens, basis in spec[1]:
         f = cone_from_generators(n, face_gens)
+        if f in table or not is_face_of(f, cone):
+            raise ParseError(f"stratum face {[list(v) for v in face_gens]} of cone {name!r} "
+                             + ("is given twice" if f in table else "is not a face of it"))
         table[f] = Sublattice.from_generators(n, basis)
     return from_strata(StratifiedMonoid.make(cone, table))
 
@@ -207,7 +210,7 @@ def build_complex(doc: ModelDoc):
             raise ParseError(f"cones {owner[c]!r} and {name!r} are the same cone; "
                              "only one of them may have a monoid")
         owner[c] = name
-        explicit[c] = _build_monoid(doc, c, spec)
+        explicit[c] = _build_monoid(doc, name, c, spec)
     table = {}
     for c in fan:
         if c in explicit:

@@ -11,7 +11,6 @@ relative interior of its face.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -39,6 +38,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
+from .values import value
 
 
 def _is_prime(p):
@@ -52,7 +52,7 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Characteristic:
     """Field characteristic: 0 or a prime."""
 
@@ -63,7 +63,7 @@ class Characteristic:
             raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class AffineMonoid:
     """Finitely generated submonoid of Z^n; 0 is always a member."""
 
@@ -284,7 +284,7 @@ def saturation(s: AffineMonoid) -> AffineMonoid:
 # stratified monoids (face-indexed sublattice families)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class StratifiedMonoid:
     """Cone plus one sublattice per face; realizes the disjoint union of each
     lattice with the relative interior of its face."""

@@ -81,6 +81,22 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["results"]["error"] == "BadLatticeFamily"
 
+    @pytest.mark.parametrize("face,basis,needle", [
+        ([["-1"]], [["5"]], "stratum face [[-1]] of cone 'a' is not a face of it"),
+        ([["1"]], [["3"]], "stratum face [[1]] of cone 'a' is given twice"),
+    ])
+    def test_stratum_off_the_faces_rejected(self, capsys, tmp_path, face, basis, needle):
+        strata = [{"face": [["1"]], "basis": [["2"]]}, {"face": [], "basis": []},
+                  {"face": face, "basis": basis}]
+        doc = {
+            "schema": SCHEMA, "ambient_rank": "1", "cones": {"a": [["1"]]},
+            "fan": {"face_closure_of": ["a"]}, "monoids": {"a": {"strata": strata}},
+        }
+        code, out, err = run(capsys, "validate", write_model(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert err == f"torf: {needle}\n"
+
     def test_parse_error_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "torf-1", "surprise": true}')

@@ -1,0 +1,204 @@
+"""The package surface, what a command imports at start-up, and the value
+classes measured against the `dataclasses` behaviour they replace."""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from torf.cli import main
+from torf.cones import cone_from_generators
+from torf.errors import DimensionMismatch
+from torf.linalg import IntMatrix, Sublattice
+from torf.model import ModelDoc
+from torf.monoids import AffineMonoid, Characteristic, stratify
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the public names of `torf`, as listed before its imports became lazy
+PUBLIC = [
+    "AffineMonoid", "BettiTable", "Characteristic", "Cone", "Fan", "GradedForm",
+    "IntMatrix", "MonoidalComplex", "RingElem", "StratifiedMonoid", "Sublattice",
+    "TorfError", "betti", "classify", "complex_from_lattice_family",
+    "complex_from_monoid_subfan", "complex_validate", "cone_from_generators",
+    "cone_from_h", "differential", "faces", "fan_validate", "fiber_complex",
+    "from_strata", "full_complex", "germ_at", "is_seminormal", "is_weakly_normal",
+    "member", "relative_sn", "relative_wn", "ring_mult", "saturation",
+    "seminormalization", "sn_complex", "stratify", "support_locate",
+    "weak_normalization", "wn_complex",
+]
+SUBMODULES = ["errors", "linalg", "cones", "monoids", "complexes", "derham"]
+HEAVY = ["dataclasses", "fractions", "torf.derham", "torf.fixtures"]
+
+
+def fresh(code):
+    """Run `code` in a new interpreter that imports torf from this tree; its
+    standard output, parsed as JSON."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    return json.loads(proc.stdout)
+
+
+class TestStartup:
+    """A command loads only the layers it runs."""
+
+    def test_cli_import_is_light(self):
+        loaded = fresh(f"import json, sys, torf.cli\n"
+                       f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+        assert loaded == []
+
+    def test_import_torf_loads_no_submodule(self):
+        loaded = fresh("import json, sys, torf\n"
+                       "print(json.dumps(sorted(m for m in sys.modules if m.startswith('torf'))))")
+        assert loaded == ["torf"]
+
+    def test_betti_loads_derham(self, capsys, tmp_path):
+        assert main(["fixtures", "torus-2"]) == 0
+        path = tmp_path / "torus-2.json"
+        path.write_text(capsys.readouterr().out)
+        script = ("import contextlib, io, json, sys\nfrom torf.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                  f"    code = main(['betti', {str(path)!r}, '--theoretical'])\n"
+                  "print(json.dumps([code, out.getvalue(), 'torf.derham' in sys.modules]))")
+        code, out, loaded = fresh(script)
+        assert (code, loaded) == (0, True)
+        assert "1, 2, 1" in out
+
+
+class TestPackageSurface:
+    def test_names_resolve_in_a_fresh_interpreter(self):
+        code = ("import json, torf\n"
+                f"names = {PUBLIC!r}\n"
+                "by_attr = [n for n in names if getattr(torf, n, None) is None]\n"
+                "ns = {}\nexec('from torf import *', ns)\n"
+                "by_star = [n for n in names if n not in ns]\n"
+                "extra = sorted(set(ns) - set(names) - {'__builtins__'})\n"
+                f"mods = [m for m in {SUBMODULES!r}\n"
+                "        if getattr(torf, m).__name__ != 'torf.' + m]\n"
+                "print(json.dumps([by_attr, by_star, extra, mods, sorted(torf.__all__)]))")
+        by_attr, by_star, extra, mods, exported = fresh(code)
+        assert by_attr == by_star == extra == mods == []
+        assert exported == sorted(PUBLIC)
+
+    def test_names_are_the_submodule_objects(self):
+        import torf
+        import torf.derham
+        import torf.monoids
+
+        assert torf.member is torf.monoids.member
+        assert torf.betti is torf.derham.betti
+        assert "member" in vars(torf)  # resolved once, then cached
+
+    def test_unknown_name(self):
+        import torf
+
+        with pytest.raises(AttributeError, match="nope"):
+            torf.nope
+        with pytest.raises(ImportError):
+            exec("from torf import nope", {})
+
+    def test_dir_lists_public_names_and_submodules(self):
+        import torf
+
+        listed = dir(torf)
+        assert set(PUBLIC + SUBMODULES) <= set(listed)
+        assert listed == sorted(listed)
+
+
+def _fields(x):
+    return list(type(x).__annotations__)
+
+
+def _values(x):
+    return tuple(getattr(x, f) for f in _fields(x))
+
+
+def _twin(x):
+    """A frozen dataclass with the same name and fields as x's class."""
+    return dataclasses.make_dataclass(type(x).__name__, _fields(x), frozen=True)(*_values(x))
+
+
+VALUES = {
+    "Cone": lambda: cone_from_generators(2, [(1, 0), (1, 2)]),
+    "Sublattice": lambda: Sublattice.from_generators(2, [(2, 0), (1, 3)]),
+    "IntMatrix": lambda: IntMatrix(2, 3, (1, 2, 3, 4, 5, 6)),
+    "AffineMonoid": lambda: AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)]),
+    "Characteristic": lambda: Characteristic(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+class TestValueClasses:
+    def test_hash_is_the_dataclass_hash(self, name):
+        x = VALUES[name]()
+        assert hash(x) == hash(_values(x)) == hash(_twin(x))
+        assert len({x, VALUES[name]()}) == 1
+
+    def test_equality(self, name):
+        x = VALUES[name]()
+        assert x == VALUES[name]() == type(x)(*_values(x))
+        assert x == type(x)(**dict(zip(_fields(x), _values(x))))
+        twin = _twin(x)
+        assert x != twin and twin != x  # equal fields, different classes
+
+    def test_repr(self, name):
+        x = VALUES[name]()
+        if name == "Cone":
+            assert repr(x) == f"Cone(rank=2, rays={x.rays}, lin=())"
+        else:
+            assert repr(x) == repr(_twin(x))
+
+    def test_frozen(self, name):
+        x = VALUES[name]()
+        field = _fields(x)[0]
+        with pytest.raises(AttributeError):
+            setattr(x, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert _values(x) == _values(VALUES[name]())
+
+
+class TestValueClassBehaviour:
+    def test_post_init_checks(self):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(DimensionMismatch):
+            IntMatrix(rows=1, cols=2, entries=(1,))
+        with pytest.raises(ValueError, match="prime"):
+            Characteristic(4)
+        with pytest.raises(ValueError, match="prime"):
+            Characteristic(p=1)
+
+    def test_bad_arguments(self):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1)
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, (0,), (0,))
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, rows=1)
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, shape=(0,))
+
+    def test_cached_properties(self):
+        lat = Sublattice.from_generators(2, [(2, 0), (1, 3)])
+        before = hash(lat)
+        assert lat._pivots == lat._pivots
+        assert "_pivots" in vars(lat) and hash(lat) == before
+        strat = stratify(AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)]))
+        assert strat._table == dict(strat.strata)
+        assert "_table" in vars(strat)
+
+    def test_mutable_value_class(self):
+        doc = ModelDoc(1, {}, ("list", []), {}, {}, {})
+        assert doc == ModelDoc(1, {}, ("list", []), {}, {}, options={})
+        doc.options["box"] = 2
+        assert doc.options == {"box": 2}
+        with pytest.raises(TypeError):
+            hash(doc)
