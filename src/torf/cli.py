@@ -371,6 +371,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.char and len(args.char) > 1 and args.command != "classify":
+            parser.error(f"{args.command} takes one --char; only classify takes several")
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     rep = Report(args.command)

@@ -137,8 +137,10 @@ def in_support(x: MonoidalComplex, m) -> bool:
 
 
 def support_box(x: MonoidalComplex, bound):
-    """All support degrees with coordinates in [-bound, bound]."""
-    return [tuple(v) for v in box_points(x.ambient_rank, bound) if in_support(x, v)]
+    """Each support degree with coordinates in [-bound, bound], in box order,
+    mapped to the fan cone whose relative interior holds it."""
+    located = ((tuple(v), support_locate(x, v)) for v in box_points(x.ambient_rank, bound))
+    return {m: c for m, c in located if c is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def orbits(x: MonoidalComplex) -> OrbitTable:
     return OrbitTable(rows)
 
 
-def _check_subfan(x: MonoidalComplex, subfan: Fan):
+def check_subfan(x: MonoidalComplex, subfan: Fan):
     if subfan.ambient_rank != x.ambient_rank:
         raise NotASubfan("ambient rank mismatch")
     for c in subfan:
@@ -231,7 +233,7 @@ def _check_subfan(x: MonoidalComplex, subfan: Fan):
 
 def subcomplex(x: MonoidalComplex, subfan: Fan) -> MonoidalComplex:
     """Restriction of x to a subfan; the axioms hold on it as they do on x."""
-    _check_subfan(x, subfan)
+    check_subfan(x, subfan)
     return MonoidalComplex(x.ambient_rank, subfan, tuple((c, x.monoid_of(c)) for c in subfan))
 
 

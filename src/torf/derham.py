@@ -22,16 +22,16 @@ from .errors import (
 from .cones import Cone, Fan
 from .complexes import (
     MonoidalComplex,
+    check_subfan,
     degrees_multiply,
     in_support,
     is_weakly_normal_complex,
-    subcomplex,
     support_box,
     support_locate,
     wn_complex,
 )
 from .linalg import IntMatrix, det, lattice_coords, rank, vec_add
-from .monoids import Characteristic, box_points, member, monoid_gp, relint_contains
+from .monoids import Characteristic, monoid_gp
 from .values import value
 
 
@@ -131,11 +131,7 @@ def _wedge_map(a, dim, p) -> IntMatrix:
 def fiber_complex(x: MonoidalComplex, m) -> FiberComplex:
     a = alpha(x, m)
     d = len(a)
-    mats = tuple(_wedge_map(a, d, p) for p in range(d))
-    for p in range(d - 1):
-        prod = mats[p + 1].mul(mats[p])
-        assert all(e == 0 for e in prod.entries), "Koszul maps must compose to zero"
-    return FiberComplex(tuple(m), d, mats)
+    return FiberComplex(tuple(m), d, tuple(_wedge_map(a, d, p) for p in range(d)))
 
 
 def fiber_cohomology(fc: FiberComplex):
@@ -265,65 +261,47 @@ def restrict(x: MonoidalComplex, w: GradedForm, t: Cone) -> GradedForm:
 # pairs and Betti numbers
 
 
-def pair_degree_filter(x: MonoidalComplex, subfan: Fan):
-    """Predicate selecting the degrees of A^p(X, Y): in |X| but not in |Y|."""
-    y = subcomplex(x, subfan)
-    return lambda m: in_support(x, m) and not in_support(y, m)
-
-
 def betti(x: MonoidalComplex, pair_subfan=None, box_bound=4, theoretical=False) -> BettiTable:
     """Betti numbers of the affine model from the global de Rham complex.
 
     Theoretical mode keeps only the degree m = 0 (the unique degree with
     alpha(m) = 0 in characteristic zero); box mode sums fiber cohomology over
     all support degrees in the box, which must agree since nonzero alpha
-    forces an exact Koszul fiber.
+    forces an exact Koszul fiber.  With a pair, a degree of |X| counts when
+    its cone is outside the subfan: Y carries X's monoids on its cones.
     """
     _require_weakly_normal(x)
+    if pair_subfan is not None:
+        check_subfan(x, pair_subfan)
     n = x.ambient_rank
-    keep = (lambda m: True) if pair_subfan is None else pair_degree_filter(x, pair_subfan)
-    total = [0] * (n + 1)
     if theoretical:
         zero = tuple(0 for _ in range(n))
-        degrees = [zero] if in_support(x, zero) and keep(zero) else []
+        located = {zero: support_locate(x, zero)}
     else:
-        degrees = [m for m in support_box(x, box_bound) if keep(m)]
-    for m in degrees:
-        dims = fiber_cohomology(fiber_complex(x, m))
-        for p, h in enumerate(dims):
+        located = support_box(x, box_bound)
+    total = [0] * (n + 1)
+    for m, c in located.items():
+        if c is None or c in (pair_subfan or ()):
+            continue
+        for p, h in enumerate(fiber_cohomology(fiber_complex(x, m))):
             total[p] += h
     return BettiTable(tuple(total), "theoretical" if theoretical else f"box-truncated({box_bound})")
 
 
 def pair_dims(x: MonoidalComplex, subfan: Fan, p, box_bound):
-    """Per-degree dimension of the A^p(X, Y) fiber over a box, with the
-    orbit-wise decomposition over cones outside the subfan.
+    """Per-degree dimension of the A^p(X, Y) fiber over a box, and the same
+    dimensions grouped by the cone outside the subfan whose orbit holds each
+    degree.  The fiber at m is wedge^p of gp(S_c), whose rank is dim c.
 
-    Returns (per_degree, decomposition); the two are checked against each
-    other degree by degree.
+    Returns (per_degree, decomposition).
     """
     _require_weakly_normal(x)
-    keep = pair_degree_filter(x, subfan)
+    check_subfan(x, subfan)
+    decomposition = {c: {} for c in x.cones() if c not in subfan}
     per_degree = {}
-    for m in support_box(x, box_bound):
-        if keep(m):
-            per_degree[m] = comb(fiber_space(x, m).dim, p)
-    decomposition = {}
-    sub_cones = set(subfan)
-    for c, s in x.assignment:
-        if c in sub_cones:
-            continue
-        block = {}
-        for m in box_points(x.ambient_rank, box_bound):
-            if relint_contains(c, m) and member(s, m):
-                block[tuple(m)] = comb(c.dim, p)
-        decomposition[c] = block
-    flat = {}
-    for block in decomposition.values():
-        for m, d in block.items():
-            assert m not in flat, "orbit degrees must be disjoint"
-            flat[m] = d
-    assert flat == per_degree, "orbit decomposition must match the fiber dimensions"
+    for m, c in support_box(x, box_bound).items():
+        if c in decomposition:
+            per_degree[m] = decomposition[c][m] = comb(c.dim, p)
     return per_degree, decomposition
 
 
@@ -331,4 +309,5 @@ def hdiff_general(x: MonoidalComplex, p, box_bound):
     """Per-degree h-differential dimensions of a possibly non-weakly-normal
     complex, computed on its characteristic-zero weak normalization."""
     w = wn_complex(x, Characteristic(0))
-    return {m: comb(fiber_space(w, m).dim, p) for m in support_box(w, box_bound)}
+    _require_weakly_normal(w)
+    return {m: comb(c.dim, p) for m, c in support_box(w, box_bound).items()}

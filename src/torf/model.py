@@ -11,7 +11,7 @@ import json
 
 from .errors import ParseError
 from .cones import Cone, Fan, cone_from_generators, face_fan_closure, fan_validate
-from .complexes import MonoidalComplex, complex_validate
+from .complexes import MonoidalComplex, check_subfan, complex_validate
 from .monoids import (
     AffineMonoid,
     StratifiedMonoid,
@@ -194,7 +194,7 @@ def _build_monoid(doc: ModelDoc, name, cone: Cone, spec) -> AffineMonoid:
 
 
 def build_complex(doc: ModelDoc):
-    """Assemble and validate; returns (complex, pairs).
+    """Assemble and validate the complex and its pairs; returns (complex, pairs).
 
     Fan cones without an explicit monoid inherit the restriction of the
     explicit monoid on the smallest cone containing them, or the saturated
@@ -227,6 +227,8 @@ def build_complex(doc: ModelDoc):
         pname: face_fan_closure(n, [named[c] for c in names])
         for pname, names in doc.pair_specs.items()
     }
+    for subfan in pairs.values():
+        check_subfan(x, subfan)
     return x, pairs
 
 

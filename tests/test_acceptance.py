@@ -176,7 +176,7 @@ def test_criterion_07_differential_laws():
     for name in fixture_names():
         x = wn0(fixture(name).complex)
         n = x.ambient_rank
-        degs = support_box(x, 2)
+        degs = list(support_box(x, 2))
         for _ in range(100):
             p = rng.randint(0, max(0, n - 1))
             mapping = {}

@@ -244,6 +244,33 @@ class TestModelOptions:
         assert "unknown option keys: ['char']" in err
 
 
+class TestPairNotASubfan:
+    """A pair whose cone is not in the fan is an invalid model."""
+
+    MODEL = {
+        "schema": SCHEMA, "ambient_rank": "2",
+        "cones": {"q": [["1", "0"], ["0", "1"]], "w": [["-1", "0"]]},
+        "fan": {"face_closure_of": ["q"]}, "pairs": {"bad": ["w"]},
+    }
+
+    def test_validate_rejects(self, capsys, tmp_path):
+        path = write_model(tmp_path, self.MODEL)
+        code, out, _err = run(capsys, "validate", path, "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["results"] == {"valid": False, "error": "NotASubfan"}
+
+    @pytest.mark.parametrize("argv", [
+        ("forms", "--pair", "bad"),
+        ("betti", "--pair", "bad", "--theoretical"),
+    ])
+    def test_commands_reject(self, capsys, tmp_path, argv):
+        path = write_model(tmp_path, self.MODEL)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("torf: NotASubfan: ")
+
+
 class TestArguments:
     """Bad arguments exit 1 with one line, before any computation."""
 
@@ -253,6 +280,7 @@ class TestArguments:
         (("forms", "--p", "-2"), "must be >= 0, got -2"),
         (("betti", "--box", "-1"), "must be >= 0, got -1"),
         (("betti", "--box", "x"), "invalid literal"),
+        (("normalize", "--char", "2", "--char", "3"), "normalize takes one --char"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, needle):
         path = write_fixture(capsys, tmp_path, "pinch")

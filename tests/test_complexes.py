@@ -42,8 +42,16 @@ from torf.complexes import (
     support_locate,
     wn_complex,
 )
+from torf.fixtures import fixture, fixture_names
 from torf.linalg import Sublattice
-from torf.monoids import AffineMonoid, Characteristic, member, monoid_cone, monoid_equal
+from torf.monoids import (
+    AffineMonoid,
+    Characteristic,
+    box_points,
+    member,
+    monoid_cone,
+    monoid_equal,
+)
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
 XRAY = cone_from_generators(2, [(1, 0)])
@@ -112,6 +120,12 @@ class TestSupport:
                     if support_locate(x, m) == c]
             assert len(hits) == 1
 
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_support_box_locates_each_degree(self, name):
+        x = fixture(name).complex
+        located = [(tuple(m), support_locate(x, m)) for m in box_points(x.ambient_rank, 3)]
+        assert list(support_box(x, 3).items()) == [(m, c) for m, c in located if c is not None]
+
 
 class TestRing:
     def test_truncated_product(self):
@@ -138,7 +152,7 @@ class TestRing:
     def test_commutative_associative(self):
         rng = random.Random(40)
         for x in (axes_complex(), pinch_complex()):
-            degs = support_box(x, 4)
+            degs = list(support_box(x, 4))
             for _ in range(25):
                 a = self._random_elem(x, rng, degs)
                 b = self._random_elem(x, rng, degs)
@@ -152,7 +166,7 @@ class TestRing:
         rng = random.Random(41)
         x = n2_complex()
         y = subcomplex(x, fan_validate(2, [XRAY, YRAY, ZERO2]))
-        degs = support_box(x, 3)
+        degs = list(support_box(x, 3))
         for _ in range(25):
             a = self._random_elem(x, rng, degs)
             b = self._random_elem(x, rng, degs)

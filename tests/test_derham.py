@@ -12,6 +12,7 @@ from torf.complexes import (
     complex_from_monoid_subfan,
     full_complex,
     support_box,
+    wn_complex,
 )
 from torf.derham import (
     alpha,
@@ -24,13 +25,19 @@ from torf.derham import (
     hdiff_general,
     make_form,
     module_action,
-    pair_degree_filter,
     pair_dims,
     restrict,
 )
-from torf.fixtures import fixture
+from torf.fixtures import fixture, fixture_names
 from torf.linalg import IntMatrix, solve_integer
-from torf.monoids import AffineMonoid, monoid_cone
+from torf.monoids import (
+    AffineMonoid,
+    Characteristic,
+    box_points,
+    member,
+    monoid_cone,
+    relint_contains,
+)
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
 XRAY = cone_from_generators(2, [(1, 0)])
@@ -51,8 +58,13 @@ def axes_fan():
     return fan_validate(2, [XRAY, YRAY, ZERO2])
 
 
+def fixture_wn0(name):
+    """A fixture's characteristic-zero weak normalization."""
+    return wn_complex(fixture(name).complex, Characteristic(0))
+
+
 def random_form(x, p, rng, box=3):
-    degs = support_box(x, box)
+    degs = list(support_box(x, box))
     mapping = {}
     for m in rng.sample(degs, min(4, len(degs))):
         d = fiber_space(x, m).dim
@@ -107,6 +119,14 @@ class TestFibers:
         for p in range(len(fc.matrices) - 1):
             prod = fc.matrices[p + 1].mul(fc.matrices[p])
             assert all(e == 0 for e in prod.entries)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_matrices_compose_to_zero_on_fixtures(self, name):
+        x = fixture_wn0(name)
+        for m in support_box(x, 4):
+            mats = fiber_complex(x, m).matrices
+            for p in range(len(mats) - 1):
+                assert all(e == 0 for e in mats[p + 1].mul(mats[p]).entries), (m, p)
 
 
 class TestDifferential:
@@ -169,7 +189,7 @@ class TestModuleAction:
     def test_leibniz(self):
         rng = random.Random(53)
         for x in (torus2(), n2()):
-            degs = support_box(x, 2)
+            degs = list(support_box(x, 2))
             for p in (0, 1):
                 for _ in range(15):
                     w = random_form(x, p, rng)
@@ -219,9 +239,8 @@ class TestRestriction:
 
 class TestPairsAndBetti:
     def test_pair_filter(self):
-        x = n2()
-        keep = pair_degree_filter(x, axes_fan())
-        assert keep((1, 1)) and not keep((1, 0)) and not keep((0, 0))
+        per_degree, _ = pair_dims(n2(), axes_fan(), 0, 1)
+        assert (1, 1) in per_degree and (1, 0) not in per_degree and (0, 0) not in per_degree
 
     def test_betti_tables(self):
         assert betti(torus2(), box_bound=4).dims == (1, 2, 1)
@@ -242,6 +261,26 @@ class TestPairsAndBetti:
         total = sum(per_degree.values())
         rhs = sum(sum(b.values()) for b in decomposition.values())
         assert total == rhs
+
+    @pytest.mark.parametrize("name", [n for n in fixture_names() if fixture(n).pairs])
+    def test_pair_dims_against_cone_major_enumeration(self, name):
+        x = fixture_wn0(name)
+        for sub in fixture(name).pairs.values():
+            for p in range(x.ambient_rank + 1):
+                per_degree, decomposition = pair_dims(x, sub, p, 4)
+                expected = {}
+                for c, s in x.assignment:
+                    if c not in sub:
+                        box = box_points(x.ambient_rank, 4)
+                        expected[c] = {tuple(m): comb(c.dim, p) for m in box
+                                       if relint_contains(c, m) and member(s, m)}
+                assert decomposition == expected
+                flat = {}
+                for block in decomposition.values():
+                    assert flat.keys().isdisjoint(block)
+                    flat.update(block)
+                assert flat == per_degree
+                assert per_degree == {m: comb(fiber_space(x, m).dim, p) for m in per_degree}
 
     def test_exact_sequence_dims(self):
         x = n2()

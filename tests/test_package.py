@@ -1,5 +1,6 @@
-"""The package surface, what a command imports at start-up, and the value
-classes measured against the `dataclasses` behaviour they replace."""
+"""The package surface, what a command imports at start-up, the names the
+benchmark's trace reads, and the value classes measured against the
+`dataclasses` behaviour they replace."""
 
 import dataclasses
 import json
@@ -18,6 +19,7 @@ from torf.model import ModelDoc
 from torf.monoids import AffineMonoid, Characteristic, stratify
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 # the public names of `torf`, as listed before its imports became lazy
 PUBLIC = [
@@ -68,6 +70,18 @@ class TestStartup:
         code, out, loaded = fresh(script)
         assert (code, loaded) == (0, True)
         assert "1, 2, 1" in out
+
+
+class TestTracedNames:
+    def test_every_traced_metric_is_present(self):
+        # bench/tracing.py reports a metric whose function or cache is gone
+        # as null, and the benchmark's result line must carry no null
+        code = (f"import json, sys\nsys.path.insert(0, {BENCH!r})\n"
+                "from tracing import Tracer, layer_metrics, merge\n"
+                "tracer = Tracer()\ntracer.install()\n"
+                "print(json.dumps(layer_metrics(merge([tracer.snapshot()]))))")
+        metrics = fresh(code)
+        assert metrics and [k for k, v in metrics.items() if v is None] == []
 
 
 class TestPackageSurface:
