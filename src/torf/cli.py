@@ -24,7 +24,7 @@ from .complexes import (
     sn_complex,
     wn_complex,
 )
-from .linalg import lattice_index, saturate
+from .linalg import lattice_index, saturate, vec_str
 from .model import build_complex, model_to_text, parse_model, serialize_model
 from .monoids import Characteristic, stratify
 
@@ -34,16 +34,6 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 MAX_BOX_DEGREES = 10**5  # largest box, in degrees, that betti/forms enumerate
-
-
-def _vec_str(v):
-    return "(" + ", ".join(str(x) for x in v) + ")"
-
-
-def _cone_label(c):
-    parts = [_vec_str(r) for r in c.rays]
-    parts += ["+-" + _vec_str(l) for l in c.lin_basis]
-    return "cone[" + "; ".join(parts) + "]" if parts else "cone[0]"
 
 
 def _cone_json(c):
@@ -170,8 +160,8 @@ def _complex_summary(rep, x):
             "cone": _cone_json(c),
             "generators": [[str(v) for v in g] for g in s.generators],
         })
-        rep.line(f"  {_cone_label(c)}: generators "
-                 + (", ".join(_vec_str(g) for g in s.generators) or "(none)"))
+        rep.line(f"  {c}: generators "
+                 + (", ".join(vec_str(g) for g in s.generators) or "(none)"))
 
 
 def cmd_validate(args, rep):
@@ -239,8 +229,8 @@ def cmd_classify(args, rep):
             "basis": _lattice_json(lat),
             "index": str(idx) if idx is not None else "infinite",
         })
-        rep.line(f"  {_cone_label(c)}: index {idx}, basis "
-                 + (", ".join(_vec_str(b) for b in lat.basis_vectors()) or "0"))
+        rep.line(f"  {c}: index {idx}, basis "
+                 + (", ".join(vec_str(b) for b in lat.basis_vectors()) or "0"))
     rep.results["family"] = rows
     sn = is_seminormal_complex(x)
     rep.results["seminormal"] = sn
@@ -267,7 +257,7 @@ def cmd_orbits(args, rep):
         })
         flags = ", ".join(f for f, keep in
                           (("facet", is_facet), ("closed", closed)) if keep)
-        rep.line(f"  {_cone_label(c)}: orbit rank {lat.rank}"
+        rep.line(f"  {c}: orbit rank {lat.rank}"
                  + (f" [{flags}]" if flags else ""))
     rep.results["orbits"] = rows
     return EXIT_OK
@@ -299,7 +289,7 @@ def cmd_germ(args, rep):
     t = cone_from_generators(doc.ambient_rank, doc.cone_gens[args.cone])
     g = germ_at(x, t)
     rep.results["germ_model"] = serialize_model(g)
-    rep.line(f"germ at {_cone_label(t)}: {len(g.cones())} cones")
+    rep.line(f"germ at {t}: {len(g.cones())} cones")
     _complex_summary(rep, g)
     return EXIT_OK
 
@@ -317,28 +307,28 @@ def cmd_forms(args, rep):
         subfan = _get_pair(pairs, args.pair)
         per_degree, decomposition = pair_dims(x, subfan, p, box)
         rep.results["per_degree"] = {
-            _vec_str(m): str(d) for m, d in sorted(per_degree.items())
+            vec_str(m): str(d) for m, d in sorted(per_degree.items())
         }
         rep.results["decomposition"] = [
             {
                 "cone": _cone_json(c),
-                "degrees": {_vec_str(m): str(d) for m, d in sorted(block.items())},
+                "degrees": {vec_str(m): str(d) for m, d in sorted(block.items())},
             }
             for c, block in sorted(decomposition.items(), key=lambda kv: kv[0].sort_key())
         ]
         total = sum(per_degree.values())
         rep.line(f"pair {args.pair!r}, p={p}, box {box}: total dimension {total}")
         for m, d in sorted(per_degree.items()):
-            rep.line(f"  {_vec_str(m)}: {d}")
+            rep.line(f"  {vec_str(m)}: {d}")
     else:
         dims = hdiff_general(x, p, box)
         rep.results["per_degree"] = {
-            _vec_str(m): str(d) for m, d in sorted(dims.items())
+            vec_str(m): str(d) for m, d in sorted(dims.items())
         }
         total = sum(dims.values())
         rep.line(f"p={p}, box {box}: total dimension {total}")
         for m, d in sorted(dims.items()):
-            rep.line(f"  {_vec_str(m)}: {d}")
+            rep.line(f"  {vec_str(m)}: {d}")
     return EXIT_OK
 
 

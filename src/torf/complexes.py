@@ -228,7 +228,7 @@ def check_subfan(x: MonoidalComplex, subfan: Fan):
         raise NotASubfan("ambient rank mismatch")
     for c in subfan:
         if c not in x.fan:
-            raise NotASubfan(f"cone {c} is not in the complex fan")
+            raise NotASubfan(f"{c} is not in the complex fan")
 
 
 def subcomplex(x: MonoidalComplex, subfan: Fan) -> MonoidalComplex:

@@ -36,6 +36,7 @@ from .linalg import (
     vec_neg,
     vec_primitive,
     vec_scale,
+    vec_str,
     vec_sub,
 )
 from .values import value
@@ -164,6 +165,11 @@ class Cone:
 
     def __repr__(self):
         return f"Cone(rank={self.ambient_rank}, rays={self.rays}, lin={self.lin_basis})"
+
+    def __str__(self):
+        """The label in reports and error messages: rays, then +- lineality basis."""
+        parts = [vec_str(r) for r in self.rays] + ["+-" + vec_str(l) for l in self.lin_basis]
+        return "cone[" + "; ".join(parts) + "]" if parts else "cone[0]"
 
 
 def _pm(vectors):

@@ -57,6 +57,11 @@ def vec_primitive(u):
     return tuple(a // g for a in u)
 
 
+def vec_str(u):
+    """The vector as text, e.g. (1, -2); a 1-vector is (1)."""
+    return "(" + ", ".join(str(a) for a in u) + ")"
+
+
 @value(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major entries."""
@@ -480,12 +485,6 @@ def saturate(lat: Sublattice) -> Sublattice:
     perp = kernel_cols(lat.basis.transpose())  # n x k
     sat = kernel_cols(perp.transpose())  # n x rank
     return Sublattice.from_generators(n, sat.col_list())
-
-
-def lattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
-    if a.ambient_rank != b.ambient_rank:
-        raise DimensionMismatch("ambient ranks differ")
-    return Sublattice.from_generators(a.ambient_rank, a.basis_vectors() + b.basis_vectors())
 
 
 def lattice_contains(big: Sublattice, small: Sublattice) -> bool:

@@ -27,7 +27,6 @@ from .linalg import (
     kernel_cols,
     lattice_contains,
     lattice_coords,
-    lattice_index,
     member_lattice,
     saturate,
     snf,
@@ -197,13 +196,6 @@ def _coords_matrix(sup: Sublattice, vectors) -> IntMatrix:
     return IntMatrix.from_cols(cols, nrows=sup.rank)
 
 
-def coset_reps(sup: Sublattice, sub: Sublattice):
-    """Representatives of sup/sub (equal rank), reduced into the half-open
-    fundamental parallelepiped of sub's basis inside sup. Ambient coords."""
-    assert sup.rank == sub.rank, "coset enumeration needs equal ranks"
-    return _parallelepiped_points(sup, sub.basis_vectors())
-
-
 def _parallelepiped_points(sup: Sublattice, vectors):
     """Points of `sup` in the half-open parallelepiped of the given independent
     vectors of `sup`, which span a sublattice of full rank; one per coset.
@@ -223,15 +215,17 @@ def _parallelepiped_points(sup: Sublattice, vectors):
     return reps
 
 
-def _triangulate(c: Cone):
-    """Pulling triangulation of a pointed cone into simplicial subcones on its rays."""
-    if len(c.rays) == c.dim:
+def _simplices(c: Cone):
+    """Maximal simplices (tuples of rays) of a pulling triangulation of c
+    modulo its lineality; every face of c has the same lineality, so its rays
+    are rays of c."""
+    if len(c.rays) == c.dim - c.lin_dim:
         return [c.rays]
     r0 = c.rays[0]
     out = []
     for f in faces(c):
         if f.dim == c.dim - 1 and not f.contains(r0):
-            for t in _triangulate(f):
+            for t in _simplices(f):
                 out.append(t + (r0,))
     return out
 
@@ -249,30 +243,16 @@ def _grading(c: Cone):
 def cone_lattice_generators(c: Cone):
     """Generating set of the monoid Z^n intersect c: a canonical lattice basis
     (with negatives) for the lineality part, plus the Hilbert basis of the
-    pointed part.  This is the saturation of any monoid generating c."""
+    pointed part.  This is the saturation of any monoid generating c.  The
+    rays lie in a lattice complement of the lineality, so an irreducible
+    element is a ray or lies in the half-open parallelepiped of a simplex."""
     n = c.ambient_rank
-    gens = list(c.lin_basis) + [vec_neg(l) for l in c.lin_basis]
-    if not c.rays:
-        return tuple(gens)
-    pointed = cone_from_generators(n, list(c.rays))
     candidates = set(c.rays)
-    for simplex in _triangulate(pointed):
+    for simplex in _simplices(c):
         span = saturate(Sublattice.from_generators(n, list(simplex)))
-        for p in _parallelepiped_points(span, list(simplex)):
-            if not vec_is_zero(p):
-                candidates.add(p)
-    ell = _grading(pointed)
-    ordered = sorted(candidates, key=lambda v: (vec_dot(ell, v), v))
-    hilbert = []
-    for h in ordered:
-        if any(
-            pointed.contains(vec_sub(h, g)) and not vec_is_zero(vec_sub(h, g))
-            for g in candidates
-            if g != h
-        ):
-            continue
-        hilbert.append(h)
-    return tuple(gens + hilbert)
+        candidates.update(_parallelepiped_points(span, list(simplex)))
+    lineality = Sublattice.from_generators(n, list(c.lin_basis))
+    return extract_generators(c, c.contains, lineality, candidates).generators
 
 
 def saturation(s: AffineMonoid) -> AffineMonoid:
@@ -369,40 +349,18 @@ def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
     return Sublattice.from_generators(sup.ambient_rank, gens)
 
 
+def _wn_table(sn: StratifiedMonoid, p: int):
+    """Each stratum of sn p-saturated inside its saturated face lattice."""
+    return {f: _p_saturation(lat, saturate(lat), p) for f, lat in sn.strata}
+
+
 def weak_normalization(s: AffineMonoid, char: Characteristic) -> StratifiedMonoid:
     """p-power saturation of the seminormalization strata inside the saturated
     face lattices; equals the seminormalization when the characteristic is 0."""
     sn = stratify(s)
     if char.p == 0:
         return sn
-    table = {}
-    for f, lat in sn.strata:
-        table[f] = _p_saturation(lat, saturate(lat), char.p)
-    return StratifiedMonoid.make(sn.cone, table)
-
-
-def sn_member_oracle(s: AffineMonoid, m, window=5, search_bound=60) -> bool:
-    """Independent seminormalization-membership oracle: look for consecutive
-    positive multiples of m inside S, then confirm a run of memberships above
-    the resulting conservative bound."""
-    m = tuple(int(x) for x in m)
-    if len(m) != s.ambient_rank:
-        raise DimensionMismatch("vector length does not match ambient rank")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if vec_is_zero(m):
-        return True
-    for a in range(1, search_bound + 1):
-        am = tuple(a * x for x in m)
-        am1 = vec_add(am, m)
-        if member(s, am) and member(s, am1):
-            n0 = max(1, a * a - a)
-            for n in range(n0, n0 + window + 1):
-                assert member(s, tuple(n * x for x in m)), (
-                    "consecutive multiples must force a full tail of multiples"
-                )
-            return True
-    return False
+    return StratifiedMonoid.make(sn.cone, _wn_table(sn, char.p))
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +372,10 @@ def box_points(n, bound):
     return itertools.product(range(-bound, bound + 1), repeat=n)
 
 
-def _minimal_face(c: Cone) -> Cone:
-    """The lineality cone, i.e. the unique subspace face."""
-    return min(faces(c), key=lambda f: f.dim)
-
-
 def _ray_faces(c: Cone):
     """Each ray of c paired with its face of dimension one above the lineality."""
     rank1 = [f for f in faces(c) if f.dim == c.lin_dim + 1]
     return [(r, next(f for f in rank1 if f.contains(r))) for r in c.rays]
-
-
-def _simplices(c: Cone):
-    """Maximal simplices (tuples of rays) of a pulling triangulation of c modulo its lineality."""
-    return _triangulate(cone_from_generators(c.ambient_rank, list(c.rays)))
 
 
 def _subset_sums(n, vectors):
@@ -453,7 +401,7 @@ def _strata_candidates(strat: StratifiedMonoid):
     """
     cone = strat.cone
     n = cone.ambient_rank
-    units = strat.lattice_of(_minimal_face(cone)).basis_vectors()
+    units = strat.lattice_of(faces(cone)[0]).basis_vectors()
     r = {}
     for ray, f in _ray_faces(cone):
         line = Sublattice.from_generators(n, [ray])
@@ -493,7 +441,7 @@ def extract_generators(cone: Cone, member_fn, group_lattice: Sublattice,
 
 def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
     """Finite generating set of the realized set of a stratified monoid."""
-    group = strat.lattice_of(_minimal_face(strat.cone))
+    group = strat.lattice_of(faces(strat.cone)[0])
     return extract_generators(strat.cone, strat.member, group, _strata_candidates(strat))
 
 
@@ -504,16 +452,11 @@ def is_seminormal(s: AffineMonoid) -> bool:
 
 
 def is_weakly_normal(s: AffineMonoid, char: Characteristic) -> bool:
-    """Seminormal and no stratum index divisible by p (index-of-sublattice criterion)."""
+    """Seminormal, and every stratum is its own p-saturation."""
     if not is_seminormal(s):
         return False
-    if char.p == 0:
-        return True
-    for f, lat in stratify(s).strata:
-        idx = lattice_index(lat, saturate(lat))
-        if idx is not None and idx % char.p == 0:
-            return False
-    return True
+    sn = stratify(s)
+    return _wn_table(sn, char.p) == sn._table
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +508,7 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
     """
     n = s.ambient_rank
     cone = monoid_cone(s)
-    minf = _minimal_face(cone)
+    minf = faces(cone)[0]
     r = {
         ray: min(g for g in s.generators if f.contains(g) and not minf.contains(g))
         for ray, f in _ray_faces(cone)
@@ -591,7 +534,7 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
 
 def _relative_extract(s, sp, strat):
     cone = monoid_cone(s)
-    minf = _minimal_face(cone)
+    minf = faces(cone)[0]
     group = _lattice_intersection(
         monoid_gp(face_restriction(sp, minf)), strat.lattice_of(minf)
     )

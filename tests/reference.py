@@ -1,0 +1,101 @@
+"""Reference implementations that tests compare torf against; torf's own
+code does not use them.
+
+`hilbert_basis_brute` uses nothing of torf past the cone's stored facet
+normals and equations.
+"""
+
+import itertools
+from math import gcd
+
+from torf.errors import DimensionMismatch
+from torf.linalg import Sublattice, vec_add, vec_is_zero
+from torf.monoids import AffineMonoid, _parallelepiped_points, member
+
+
+def sn_member_oracle(s: AffineMonoid, m, window=5, search_bound=60) -> bool:
+    """Independent seminormalization-membership oracle: look for consecutive
+    positive multiples of m inside S, then confirm a run of memberships above
+    the resulting conservative bound."""
+    m = tuple(int(x) for x in m)
+    if len(m) != s.ambient_rank:
+        raise DimensionMismatch("vector length does not match ambient rank")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if vec_is_zero(m):
+        return True
+    for a in range(1, search_bound + 1):
+        am = tuple(a * x for x in m)
+        am1 = vec_add(am, m)
+        if member(s, am) and member(s, am1):
+            n0 = max(1, a * a - a)
+            for n in range(n0, n0 + window + 1):
+                assert member(s, tuple(n * x for x in m)), (
+                    "consecutive multiples must force a full tail of multiples"
+                )
+            return True
+    return False
+
+
+def coset_reps(sup: Sublattice, sub: Sublattice):
+    """Representatives of sup/sub (equal rank), reduced into the half-open
+    fundamental parallelepiped of sub's basis inside sup. Ambient coords."""
+    assert sup.rank == sub.rank, "coset enumeration needs equal ranks"
+    return _parallelepiped_points(sup, sub.basis_vectors())
+
+
+def lattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
+    if a.ambient_rank != b.ambient_rank:
+        raise DimensionMismatch("ambient ranks differ")
+    return Sublattice.from_generators(a.ambient_rank, a.basis_vectors() + b.basis_vectors())
+
+
+def facet_values(cone, v):
+    """The values of the facet normals of `cone` at v.  On the lattice points
+    of the span of the cone they determine v modulo the lineality."""
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in cone.ineqs)
+
+
+def hilbert_basis_brute(cone, gens):
+    """The facet values of the irreducible elements of Z^n intersect `cone`,
+    modulo its lineality L, by enumeration.
+
+    `gens` generate the cone.  An irreducible m is congruent modulo L to a
+    generator or to a point of sum_g [0, 1) g: write m = sum t_g g with
+    t_g >= 0; the rest m - sum floor(t_g) g is a lattice point of the cone, so
+    irreducibility leaves it in L (and m congruent to one generator) or leaves
+    no generator outside L in the floor sum.  Both lie in the coordinate box
+    spanned by the positive and negative parts of `gens`.  m is reducible
+    exactly when some lattice point of the cone has facet values below those
+    of m, nonzero and not equal to them, and then so does an irreducible one;
+    so the classes are the minimal nonzero facet-value vectors of the box
+    points in the cone.
+    """
+    n = cone.ambient_rank
+    low = [sum(min(g[i], 0) for g in gens) for i in range(n)]
+    high = [sum(max(g[i], 0) for g in gens) for i in range(n)]
+    values = set()
+    for v in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(low, high))):
+        if all(sum(a * x for a, x in zip(e, v)) == 0 for e in cone.eqs):
+            fv = facet_values(cone, v)
+            if all(x >= 0 for x in fv) and any(fv):
+                values.add(fv)
+    return {fv for fv in values
+            if not any(w != fv and all(a <= b for a, b in zip(w, fv)) for w in values)}
+
+
+def minors_gcd(vectors):
+    """The gcd of the maximal minors of the vectors, taken as rows; 1 exactly
+    when they are a basis of the lattice points of their span."""
+    k, n = len(vectors), len(vectors[0]) if vectors else 0
+    out = 0
+    for cols in itertools.combinations(range(n), k):
+        det = 0
+        for perm in itertools.permutations(range(k)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+            term = sign
+            for i in range(k):
+                term *= vectors[i][cols[perm[i]]]
+            det += term
+        out = gcd(out, det)
+    return out

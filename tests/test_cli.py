@@ -1,8 +1,11 @@
 """Command line interface: commands, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +99,26 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert err == f"torf: {needle}\n"
+
+    def test_missing_face_named_by_label(self, capsys, tmp_path):
+        path = write_fixture(capsys, tmp_path, "broken-missing-face")
+        code, out, _err = run(capsys, "validate", path)
+        assert code == 2
+        assert out == ("torf validate\ninvalid: MissingFace: fan is missing a face: "
+                       "cone[(0, 1)] of cone[(0, 1); (1, 0)]\n")
+        code, out, err = run(capsys, "orbits", path)
+        assert (code, out) == (2, "")
+        assert err == "torf: MissingFace: fan is missing a face: cone[(0, 1)] of cone[(0, 1); (1, 0)]\n"
+
+    def test_pair_off_the_fan_named_by_label(self, capsys, tmp_path):
+        doc = {
+            "schema": SCHEMA, "ambient_rank": "2",
+            "cones": {"a": [["1", "0"], ["0", "1"]], "b": [["-1", "0"]]},
+            "fan": {"face_closure_of": ["a"]}, "pairs": {"p": ["b"]},
+        }
+        code, out, _err = run(capsys, "validate", write_model(tmp_path, doc))
+        assert code == 2
+        assert out == "torf validate\ninvalid: NotASubfan: cone[(-1, 0)] is not in the complex fan\n"
 
     def test_parse_error_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -477,3 +500,54 @@ class TestDeterminism:
             code, out, _err = run(capsys, "fixtures", name)
             assert code == 0
             json.loads(out)
+
+
+GOLDEN_COMMANDS = (
+    ("validate",), ("orbits",), ("classify",), ("normalize",),
+    ("normalize", "--mode", "wn", "--char", "2"), ("betti", "--theoretical"),
+)
+CLI_DIGESTS = json.loads(Path(__file__).with_name("cli_digests.json").read_text())
+
+
+def write_fixtures(d):
+    """Each good fixture as the model file d/<name>.json."""
+    for name in fixture_names():
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            main(["fixtures", name])
+        (d / f"{name}.json").write_text(text.getvalue())
+
+
+def golden_digest(d, name, command):
+    """The command line, with the fixture name for the file, and the SHA-256
+    of its machine stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        main([command[0], str(d / f"{name}.json"), *command[1:], "--format", "machine"])
+    key = " ".join((command[0], name) + command[1:])
+    return key, hashlib.sha256(text.getvalue().encode()).hexdigest()
+
+
+def golden_digests():
+    """Every golden digest.  Rewrite cli_digests.json from this only for an
+    intended output change: `PYTHONPATH=src python -c "import json, sys;
+    sys.path.insert(0, 'tests'); import test_cli;
+    print(json.dumps(test_cli.golden_digests(), indent=1))" > tests/cli_digests.json`.
+    """
+    with tempfile.TemporaryDirectory() as d:
+        write_fixtures(Path(d))
+        return dict(golden_digest(Path(d), name, command)
+                    for name in fixture_names() for command in GOLDEN_COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fixtures")
+    write_fixtures(d)
+    return d
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", GOLDEN_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_machine_stdout_digest(self, fixture_dir, name, command):
+        key, digest = golden_digest(fixture_dir, name, command)
+        assert digest == CLI_DIGESTS[key]

@@ -16,7 +16,6 @@ from torf.linalg import (
     lattice_contains,
     lattice_coords,
     lattice_index,
-    lattice_sum,
     member_lattice,
     rank,
     saturate,
@@ -25,7 +24,9 @@ from torf.linalg import (
     vec_add,
     vec_sub,
 )
-from torf.monoids import _p_saturation, coset_reps
+from torf.monoids import _p_saturation
+
+from reference import coset_reps, lattice_sum
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):

@@ -12,7 +12,7 @@ from torf.monoids import (
     AffineMonoid,
     Characteristic,
     box_points,
-    coset_reps,
+    cone_lattice_generators,
     face_restriction,
     from_strata,
     is_seminormal,
@@ -23,10 +23,11 @@ from torf.monoids import (
     relative_sn,
     relative_wn,
     saturation,
-    sn_member_oracle,
     stratify,
     weak_normalization,
 )
+
+from reference import coset_reps, facet_values, hilbert_basis_brute, minors_gcd, sn_member_oracle
 
 PINCH = AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)])
 NSG23 = AffineMonoid.make(1, [(2,), (3,)])
@@ -111,6 +112,30 @@ class TestSaturation:
         s = AffineMonoid.make(2, [(2, 0), (-2, 0), (0, 3)])
         sat = saturation(s)
         assert member(sat, (1, 0)) and member(sat, (-1, 0)) and member(sat, (0, 1))
+
+    @pytest.mark.parametrize("k,size", [(5, 31), (6, 96)])
+    def test_moment_cone_hilbert_basis_size(self, k, size):
+        c = cone_from_generators(4, [(1, t, t * t, t ** 3) for t in range(k)])
+        assert len(cone_lattice_generators(c)) == size
+
+    @PROPERTY
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=3),
+        st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=1))))
+    def test_hilbert_basis_against_brute_force(self, gens_and_lineality):
+        gens, lineality = gens_and_lineality
+        gens = gens + lineality + [tuple(-x for x in v) for v in lineality]
+        c = cone_from_generators(len(gens[0]), gens)
+        out = cone_lattice_generators(c)
+        assert all(c.contains(h) for h in out)
+        values = [facet_values(c, h) for h in out if any(facet_values(c, h))]
+        brute = hilbert_basis_brute(c, gens)
+        assert len(values) == len(set(values)) == len(brute)
+        assert set(values) == brute
+        units = [h for h in out if not any(facet_values(c, h))]
+        assert sorted(units) == sorted(tuple(-x for x in u) for u in units)
+        assert len(units) == 2 * c.lin_dim
+        assert minors_gcd([u for u in units if u > tuple(-x for x in u)]) == 1
 
 
 class TestStratify:
@@ -305,3 +330,25 @@ class TestExtractionProperties:
         assert stratify(sn) == stratify(s)
         assert is_seminormal(sn)
         assert monoid_equal(from_strata(stratify(sn)), sn)
+
+
+def rank3_monoids():
+    """Monoids of rank 1 to 3 with two to four generators of entries -2..5."""
+    return st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-2, 5)] * n), min_size=2, max_size=4,
+    ).map(lambda gens: AffineMonoid.make(n, gens)))
+
+
+class TestWeakNormalityProperties:
+    @PROPERTY
+    @given(rank3_monoids(), st.sampled_from([2, 3]))
+    def test_weak_normalization(self, s, p):
+        """S in sn(S) in wn_p(S) in sat(S); wn_p is idempotent; S is weakly
+        normal exactly when it equals its weak normalization."""
+        char = Characteristic(p)
+        strat = weak_normalization(s, char)
+        sn, wn = from_strata(stratify(s)), from_strata(strat)
+        for small, big in ((s, sn), (sn, wn), (wn, saturation(s))):
+            assert all(member(big, g) for g in small.generators)
+        assert weak_normalization(wn, char) == strat
+        assert is_weakly_normal(s, char) == monoid_equal(wn, s)
