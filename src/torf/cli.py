@@ -14,7 +14,7 @@ import math
 import sys
 
 from .errors import ParseError, TorfError, UnknownFixture
-from .cones import cone_from_generators
+from .cones import cone_from_generators, faces
 from .complexes import (
     classify,
     germ_at,
@@ -26,7 +26,7 @@ from .complexes import (
 )
 from .linalg import lattice_index, saturate, vec_str
 from .model import build_complex, model_to_text, parse_model, serialize_model
-from .monoids import Characteristic, stratify
+from .monoids import Characteristic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,17 +201,11 @@ def cmd_normalize(args, rep):
     rep.line(f"mode {args.mode}, characteristic {char.p}")
     rep.line("input already normal" if already else "input was not normal")
     _complex_summary(rep, y)
-    strata = []
-    for c, s in y.assignment:
-        st = stratify(s)
-        strata.append({
-            "cone": _cone_json(c),
-            "strata": [
-                {"face": _cone_json(f), "basis": _lattice_json(lat)}
-                for f, lat in st.strata
-            ],
-        })
-    rep.results["strata"] = strata
+    family = classify(y)
+    rep.results["strata"] = [{
+        "cone": _cone_json(c),
+        "strata": [{"face": _cone_json(f), "basis": _lattice_json(family[f])} for f in faces(c)],
+    } for c in y.cones()]
     return EXIT_OK
 
 

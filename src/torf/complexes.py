@@ -8,7 +8,7 @@ monomials survives exactly when both degrees live in a common cone monoid.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     CompatibilityFailure,
@@ -40,12 +40,10 @@ from .monoids import (
     face_restriction,
     from_strata,
     is_seminormal,
-    is_weakly_normal,
     member,
     monoid_cone,
     monoid_gp,
-    stratify,
-    weak_normalization,
+    wn_lattice,
 )
 from .values import value
 
@@ -249,34 +247,32 @@ def components(x: MonoidalComplex):
 # complex-level normalization and classification
 
 
-def _revalidate(fan: Fan, table) -> MonoidalComplex:
-    """Validate a computed complex.  A failure here is a broken postcondition
-    of the computation, not bad input, so it surfaces as an AssertionError."""
-    try:
-        return complex_validate(fan.ambient_rank, fan, table)
-    except TorfError as e:
-        raise AssertionError(f"computed complex fails validation: {e}") from e
-
-
 def sn_complex(x: MonoidalComplex) -> MonoidalComplex:
-    """Seminormalization, cone by cone; face compatibility is inherited and revalidated."""
-    return _revalidate(x.fan, {c: from_strata(stratify(s)) for c, s in x.assignment})
+    """Seminormalization: the complex that realizes the lattice family of x
+    (by face compatibility, gp(S_sigma intersect F) = gp(S_F) on each face F)."""
+    return complex_from_lattice_family(x.fan, classify(x))
+
+
+def _wn_family(family, char: Characteristic):
+    """The lattice family of the weak normalization over a `classify` family."""
+    return {c: wn_lattice(lat, char.p) for c, lat in family.items()}
 
 
 def wn_complex(x: MonoidalComplex, char: Characteristic) -> MonoidalComplex:
-    """Weak normalization, cone by cone."""
-    table = {c: from_strata(weak_normalization(s, char)) for c, s in x.assignment}
-    return _revalidate(x.fan, table)
+    """Weak normalization: the complex that realizes the p-saturated family."""
+    return complex_from_lattice_family(x.fan, _wn_family(classify(x), char))
 
 
+@lru_cache(maxsize=None)
 def is_seminormal_complex(x: MonoidalComplex) -> bool:
     """Facet-wise seminormality of the cone monoids."""
     return all(is_seminormal(x.monoid_of(f)) for f in fan_facets(x.fan))
 
 
 def is_weakly_normal_complex(x: MonoidalComplex, char: Characteristic) -> bool:
-    """Facet-wise weak normality, equivalent to the stratum-index criterion."""
-    return all(is_weakly_normal(x.monoid_of(f), char) for f in fan_facets(x.fan))
+    """Seminormal, and every lattice of the family is its own p-saturation."""
+    family = classify(x)
+    return is_seminormal_complex(x) and _wn_family(family, char) == family
 
 
 def classify(x: MonoidalComplex):
@@ -289,9 +285,13 @@ def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
     stratified monoids of each cone and extract generators.
 
     The coverage, span, rank and nesting conditions on the family are checked
-    by `StratifiedMonoid.make`, cone by cone."""
+    by `StratifiedMonoid.make`, cone by cone.  The realized complex failing
+    validation is a broken postcondition, not bad input: an AssertionError."""
     table = {c: from_strata(StratifiedMonoid.make(c, family)) for c in fan}
-    return _revalidate(fan, table)
+    try:
+        return complex_validate(fan.ambient_rank, fan, table)
+    except TorfError as e:
+        raise AssertionError(f"computed complex fails validation: {e}") from e
 
 
 # ---------------------------------------------------------------------------

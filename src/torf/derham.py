@@ -25,13 +25,13 @@ from .complexes import (
     check_subfan,
     degrees_multiply,
     in_support,
-    is_weakly_normal_complex,
+    is_seminormal_complex,
+    sn_complex,
     support_box,
     support_locate,
-    wn_complex,
 )
 from .linalg import IntMatrix, det, lattice_coords, rank, vec_add
-from .monoids import Characteristic, monoid_gp
+from .monoids import monoid_gp
 from .values import value
 
 
@@ -75,15 +75,12 @@ class BettiTable:
     mode: str
 
 
-@lru_cache(maxsize=None)
-def _weakly_normal_checked(x: MonoidalComplex) -> bool:
-    return is_weakly_normal_complex(x, Characteristic(0))
-
-
 def _require_weakly_normal(x: MonoidalComplex):
-    if not _weakly_normal_checked(x):
+    """In characteristic 0, weak normality is seminormality."""
+    if not is_seminormal_complex(x):
         raise NotWeaklyNormal(
-            "complex is not weakly normal; use hdiff_general for the pushforward"
+            "complex is not weakly normal; `torf forms` reports the forms of its"
+            " weak normalization"
         )
 
 
@@ -307,7 +304,6 @@ def pair_dims(x: MonoidalComplex, subfan: Fan, p, box_bound):
 
 def hdiff_general(x: MonoidalComplex, p, box_bound):
     """Per-degree h-differential dimensions of a possibly non-weakly-normal
-    complex, computed on its characteristic-zero weak normalization."""
-    w = wn_complex(x, Characteristic(0))
-    _require_weakly_normal(w)
-    return {m: comb(c.dim, p) for m, c in support_box(w, box_bound).items()}
+    complex, computed on its characteristic-zero weak normalization, which is
+    its seminormalization."""
+    return {m: comb(c.dim, p) for m, c in support_box(sn_complex(x), box_bound).items()}

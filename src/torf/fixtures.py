@@ -24,7 +24,6 @@ class FixtureData:
     name: str
     complex: MonoidalComplex
     pairs: dict  # pair name -> Fan
-    extension: tuple = None  # optional (S, S') pair of monoids
     model: dict = None  # model-file document
 
 
@@ -118,9 +117,8 @@ def fixture(name: str) -> FixtureData:
         if d < 2:
             raise UnknownFixture(f"power extension needs d >= 2: {name}")
         s = AffineMonoid.make(1, [(d,)])
-        sp = AffineMonoid.make(1, [(1,)])
         x = complex_from_monoid_subfan(s, face_fan_closure(1, [monoid_cone(s)]))
-        return _pack(name, x, extension=(s, sp))
+        return _pack(name, x)
     m = re.fullmatch(r"numeric-semigroup-(\d+)-(\d+)", name)
     if m:
         return _pack(name, _numeric_semigroup((int(m.group(1)), int(m.group(2)))))
@@ -138,11 +136,9 @@ def fixture(name: str) -> FixtureData:
     raise UnknownFixture(f"unknown fixture {name!r}")
 
 
-def _pack(name, x, pairs=None, extension=None):
+def _pack(name, x, pairs=None):
     pairs = pairs or {}
-    return FixtureData(
-        name, x, pairs, extension, serialize_model(x, pairs=pairs or None)
-    )
+    return FixtureData(name, x, pairs, serialize_model(x, pairs=pairs or None))
 
 
 def _broken_model(name):

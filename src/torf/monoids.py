@@ -40,24 +40,34 @@ from .linalg import (
 from .values import value
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin to the bases _MR_BASES, which is exact for p < _MR_LIMIT."""
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    d = p - 1
+    s = (d & -d).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 2**i, p) != p - 1 for i in range(s)):
             return False
-        d += 1
     return True
 
 
 @value(frozen=True)
 class Characteristic:
-    """Field characteristic: 0 or a prime."""
+    """Field characteristic: 0 or a prime below _MR_LIMIT."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= _MR_LIMIT:
+            raise ValueError(f"characteristic {self.p} is too large; primes below "
+                             f"{_MR_LIMIT} are supported")
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
 
@@ -339,7 +349,7 @@ def seminormalization(s: AffineMonoid) -> StratifiedMonoid:
 
 def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
     """All x in sup with p^e x in sub for some e >= 0 (sub of finite index in sup)."""
-    if p == 0 or sub.rank == 0:
+    if sub.rank == 0:
         return sub
     d, _u, v = snf(_coords_matrix(sup, sub.basis_vectors()))
     frame = sub.basis.mul(v)  # columns d_i e_i, with e_i a basis of sup
@@ -349,18 +359,18 @@ def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
     return Sublattice.from_generators(sup.ambient_rank, gens)
 
 
-def _wn_table(sn: StratifiedMonoid, p: int):
-    """Each stratum of sn p-saturated inside its saturated face lattice."""
-    return {f: _p_saturation(lat, saturate(lat), p) for f, lat in sn.strata}
+def wn_lattice(lat: Sublattice, p: int) -> Sublattice:
+    """The stratum of the weak normalization at p over the stratum `lat`: its
+    p-saturation inside the saturated lattice Z^n intersect span(lat); `lat`
+    itself when p is 0."""
+    return lat if p == 0 else _p_saturation(lat, saturate(lat), p)
 
 
 def weak_normalization(s: AffineMonoid, char: Characteristic) -> StratifiedMonoid:
-    """p-power saturation of the seminormalization strata inside the saturated
-    face lattices; equals the seminormalization when the characteristic is 0."""
+    """The seminormalization strata, each replaced by its `wn_lattice`; equals
+    the seminormalization when the characteristic is 0."""
     sn = stratify(s)
-    if char.p == 0:
-        return sn
-    return StratifiedMonoid.make(sn.cone, _wn_table(sn, char.p))
+    return StratifiedMonoid.make(sn.cone, {f: wn_lattice(lat, char.p) for f, lat in sn.strata})
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +456,16 @@ def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
 
 
 def is_seminormal(s: AffineMonoid) -> bool:
-    """S equals its seminormalization: every generator candidate of sn(S) is in S."""
-    sn = stratify(s)
-    return all(member(s, m) for m in _strata_candidates(sn) if sn.member(m))
+    """S equals its seminormalization, which is its weak normalization at p = 0."""
+    return is_weakly_normal(s, Characteristic(0))
 
 
 def is_weakly_normal(s: AffineMonoid, char: Characteristic) -> bool:
-    """Seminormal, and every stratum is its own p-saturation."""
-    if not is_seminormal(s):
-        return False
+    """S is seminormal (every generator candidate of sn(S) is in S), and every
+    stratum of sn(S) is its own `wn_lattice`."""
     sn = stratify(s)
-    return _wn_table(sn, char.p) == sn._table
+    return (all(member(s, m) for m in _strata_candidates(sn) if sn.member(m))
+            and all(wn_lattice(lat, char.p) == lat for _f, lat in sn.strata))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,18 @@ normals and equations.
 import itertools
 from math import gcd
 
+from torf.cones import fan_facets
 from torf.errors import DimensionMismatch
 from torf.linalg import Sublattice, vec_add, vec_is_zero
-from torf.monoids import AffineMonoid, _parallelepiped_points, member
+from torf.monoids import (
+    AffineMonoid,
+    _parallelepiped_points,
+    from_strata,
+    is_weakly_normal,
+    member,
+    stratify,
+    weak_normalization,
+)
 
 
 def sn_member_oracle(s: AffineMonoid, m, window=5, search_bound=60) -> bool:
@@ -99,3 +108,15 @@ def minors_gcd(vectors):
             det += term
         out = gcd(out, det)
     return out
+
+
+def normalize_cone_by_cone(x, char=None):
+    """The seminormalization of the complex x, or its weak normalization at
+    `char`, as cone -> monoid, each cone monoid normalized from its own strata."""
+    strata = stratify if char is None else (lambda s: weak_normalization(s, char))
+    return {c: from_strata(strata(s)) for c, s in x.assignment}
+
+
+def is_weakly_normal_facetwise(x, char) -> bool:
+    """Weak normality of the complex x at `char`, decided on each facet monoid."""
+    return all(is_weakly_normal(x.monoid_of(f), char) for f in fan_facets(x.fan))

@@ -304,6 +304,8 @@ class TestArguments:
         (("betti", "--box", "-1"), "must be >= 0, got -1"),
         (("betti", "--box", "x"), "invalid literal"),
         (("normalize", "--char", "2", "--char", "3"), "normalize takes one --char"),
+        (("classify", "--char", "561"), "characteristic must be 0 or prime, got 561"),
+        (("classify", "--char", str(10**25)), f"characteristic {10**25} is too large"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, needle):
         path = write_fixture(capsys, tmp_path, "pinch")
@@ -418,6 +420,15 @@ class TestBetti:
         code, _out, err = run(capsys, "betti", path, "--pair", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("mode", ["--theoretical", "--box=3"])
+    def test_not_weakly_normal_points_to_forms(self, capsys, tmp_path, mode):
+        path = write_fixture(capsys, tmp_path, "numeric-semigroup-2-3")
+        code, out, err = run(capsys, "betti", path, mode)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("torf: NotWeaklyNormal: ")
+        assert "torf forms" in err and "hdiff_general" not in err
+
 
 class TestOrbitsGermForms:
     def test_orbits(self, capsys, tmp_path):
@@ -453,6 +464,13 @@ class TestOrbitsGermForms:
         assert code == 0
         per = json.loads(out)["results"]["per_degree"]
         assert per["(1, 1)"] == "2"
+
+    def test_large_prime_characteristic(self, capsys, tmp_path):
+        path = write_fixture(capsys, tmp_path, "pinch")
+        code, out, err = run(capsys, "classify", path, "--char", str(10**18 + 3),
+                             "--format", "machine")
+        assert code == 0, err
+        assert json.loads(out)["results"]["weakly_normal"] == {str(10**18 + 3): True}
 
     def test_forms_general(self, capsys, tmp_path):
         path = write_fixture(capsys, tmp_path, "numeric-semigroup-2-3")
@@ -504,7 +522,8 @@ class TestDeterminism:
 
 GOLDEN_COMMANDS = (
     ("validate",), ("orbits",), ("classify",), ("normalize",),
-    ("normalize", "--mode", "wn", "--char", "2"), ("betti", "--theoretical"),
+    ("normalize", "--mode", "wn", "--char", "2"), ("normalize", "--mode", "wn", "--char", "3"),
+    ("betti", "--theoretical"), ("forms", "--box", "2"),
 )
 CLI_DIGESTS = json.loads(Path(__file__).with_name("cli_digests.json").read_text())
 

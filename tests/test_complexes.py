@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torf.complexes
 import torf.cones
@@ -53,6 +54,9 @@ from torf.monoids import (
     monoid_equal,
 )
 
+from reference import is_weakly_normal_facetwise, normalize_cone_by_cone
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
 XRAY = cone_from_generators(2, [(1, 0)])
 YRAY = cone_from_generators(2, [(0, 1)])
@@ -250,6 +254,60 @@ class TestNormalization:
                 monoid_equal(y.monoid_of(c), x.monoid_of(c)) for c in x.cones()
             )
             assert fixed == is_seminormal_complex(x)
+
+
+@st.composite
+def monoid_complexes(draw):
+    """A random monoid of rank 1 or 2 over its face fan, over the boundary of
+    its cone or over one facet of its cone.  Generators are multiples k v of a
+    few small v, so that gaps (non-seminormal monoids) occur."""
+    n = draw(st.integers(1, 2))
+    vectors = st.tuples(*[st.integers(-1, 3)] * n).filter(any)
+    pool = draw(st.lists(vectors, min_size=1, max_size=3))
+    multiples = st.tuples(st.integers(1, 4), st.sampled_from(pool))
+    gens = draw(st.lists(multiples, min_size=2, max_size=4))
+    s = AffineMonoid.make(n, [tuple(k * x for x in v) for k, v in gens])
+    c = monoid_cone(s)
+    boundary = [f for f in faces(c)[1:] if f.dim == c.dim - 1]
+    tops = draw(st.sampled_from([boundary or [c], [c], boundary[:1] or [c]]))
+    return complex_from_monoid_subfan(s, face_fan_closure(n, tops))
+
+
+def same_monoids(x, table):
+    return x.cones() == sorted(table, key=lambda c: c.sort_key()) and all(
+        monoid_equal(x.monoid_of(c), table[c]) for c in table)
+
+
+class TestNormalizationThroughFamily:
+    """The complex-level normalizations and predicates, which read the lattice
+    family, agree with normalizing and testing each cone monoid on its own."""
+
+    def check(self, x):
+        assert same_monoids(sn_complex(x), normalize_cone_by_cone(x))
+        for p in (2, 3):
+            char = Characteristic(p)
+            assert same_monoids(wn_complex(x, char), normalize_cone_by_cone(x, char))
+        for p in (0, 2, 3):
+            char = Characteristic(p)
+            assert is_weakly_normal_complex(x, char) == is_weakly_normal_facetwise(x, char)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        self.check(fixture(name).complex)
+
+    @PROPERTY
+    @given(monoid_complexes())
+    def test_random_complexes(self, x):
+        self.check(x)
+
+    @PROPERTY
+    @given(monoid_complexes())
+    def test_classify_inverts_realization(self, x):
+        family = classify(x)
+        y = complex_from_lattice_family(x.fan, family)
+        assert classify(y) == family
+        if is_seminormal_complex(x):
+            assert same_monoids(y, dict(x.assignment))
 
 
 class TestClassification:

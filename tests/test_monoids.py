@@ -1,6 +1,7 @@
 """Affine monoids: membership, saturation, normalizations, classification."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,11 @@ from torf.errors import NotFiniteExtension
 from torf.cones import cone_from_generators, faces
 from torf.linalg import Sublattice, lattice_index, member_lattice, saturate
 from torf.monoids import (
+    _MR_LIMIT,
     AffineMonoid,
     Characteristic,
     box_points,
+    _is_prime,
     cone_lattice_generators,
     face_restriction,
     from_strata,
@@ -195,6 +198,30 @@ class TestNormality:
             Characteristic(4)
         Characteristic(0)
         Characteristic(7)
+
+    def test_primality_agrees_with_sieve_below_1e5(self):
+        n = 10**5
+        sieve = [False, False] + [True] * (n - 2)
+        for d in range(2, 317):
+            if sieve[d]:
+                sieve[d * d::d] = [False] * len(range(d * d, n, d))
+        assert [_is_prime(p) for p in range(n)] == sieve
+
+    @pytest.mark.parametrize("p", [10**18 + 1, 561, 41041])  # (10^6+1)(10^12-10^6+1), Carmichael
+    def test_composite_characteristic_rejected(self, p):
+        with pytest.raises(ValueError, match="must be 0 or prime"):
+            Characteristic(p)
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.process_time()
+        assert Characteristic(10**18 + 3).p == 10**18 + 3
+        assert time.process_time() - start < 1
+
+    def test_characteristic_beyond_exact_range_refused(self):
+        # the bound is the least composite that all 13 bases pass
+        assert _MR_LIMIT == 1287836182261 * 2575672364521 and _is_prime(_MR_LIMIT)
+        with pytest.raises(ValueError, match="too large"):
+            Characteristic(_MR_LIMIT)
 
 
 class TestOracle:
