@@ -24,11 +24,11 @@ from .cones import (
     Fan,
     cone_difference,
     face_fan_closure,
-    fan_facets,
     fan_minimal_cone,
     fan_validate,
+    faces,
     is_face_of,
-    relint_contains,
+    locate,
 )
 from .linalg import vec_add, vec_neg
 from .monoids import (
@@ -89,9 +89,7 @@ def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
             raise GenerationFailure(c)
         table[c] = s
     for sig in fan:
-        for tau in fan:
-            if tau == sig or not is_face_of(tau, sig):
-                continue
+        for tau in faces(sig)[:-1]:
             st, ss = table[tau], table[sig]
             for g in st.generators:
                 if not member(ss, g):
@@ -124,10 +122,8 @@ def support_locate(x: MonoidalComplex, m):
     """The unique fan cone with m in its relative interior and m in its monoid,
     or None when m is outside the support."""
     m = tuple(int(v) for v in m)
-    for c, s in x.assignment:
-        if relint_contains(c, m):
-            return c if member(s, m) else None
-    return None
+    f = next((f for f in (locate(c, m) for c in x.fan.facets) if f is not None), None)
+    return f if f is not None and member(x.monoid_of(f), m) else None
 
 
 def in_support(x: MonoidalComplex, m) -> bool:
@@ -180,12 +176,12 @@ def ring_add(a: RingElem, b: RingElem) -> RingElem:
 
 def degrees_multiply(x: MonoidalComplex, m1, m2) -> bool:
     """Whether chi^m1 * chi^m2 is nonzero: both degrees lie in a common cone
-    monoid, detected through the fan (some cone has both locating cones as faces)."""
+    monoid, detected through the fan (some facet has both locating cones as faces)."""
     c1 = support_locate(x, m1)
     c2 = support_locate(x, m2)
     if c1 is None or c2 is None:
         return False
-    return any(is_face_of(c1, c) and is_face_of(c2, c) for c in x.fan)
+    return any(is_face_of(c1, c) and is_face_of(c2, c) for c in x.fan.facets)
 
 
 def ring_mult(x: MonoidalComplex, a: RingElem, b: RingElem) -> RingElem:
@@ -213,10 +209,9 @@ class OrbitTable:
 
 
 def orbits(x: MonoidalComplex) -> OrbitTable:
-    facets = set(fan_facets(x.fan))
     minimal = fan_minimal_cone(x.fan)
     rows = tuple(
-        (c, monoid_gp(s), c in facets, c == minimal) for c, s in x.assignment
+        (c, monoid_gp(s), c in x.fan.facets, c == minimal) for c, s in x.assignment
     )
     return OrbitTable(rows)
 
@@ -237,10 +232,7 @@ def subcomplex(x: MonoidalComplex, subfan: Fan) -> MonoidalComplex:
 
 def components(x: MonoidalComplex):
     """Irreducible components: the subcomplex over each facet's face closure."""
-    out = []
-    for f in fan_facets(x.fan):
-        out.append(subcomplex(x, face_fan_closure(x.ambient_rank, [f])))
-    return out
+    return [subcomplex(x, face_fan_closure(x.ambient_rank, [f])) for f in x.fan.facets]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +258,7 @@ def wn_complex(x: MonoidalComplex, char: Characteristic) -> MonoidalComplex:
 @lru_cache(maxsize=None)
 def is_seminormal_complex(x: MonoidalComplex) -> bool:
     """Facet-wise seminormality of the cone monoids."""
-    return all(is_seminormal(x.monoid_of(f)) for f in fan_facets(x.fan))
+    return all(is_seminormal(x.monoid_of(f)) for f in x.fan.facets)
 
 
 def is_weakly_normal_complex(x: MonoidalComplex, char: Characteristic) -> bool:

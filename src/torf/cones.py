@@ -19,7 +19,8 @@ V-description.  `_cone` reads the canonical form off both descriptions, so
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .errors import (
     BadIntersection,
@@ -163,6 +164,10 @@ class Cone:
     def sort_key(self):
         return (self.dim, self.rays, self.lin_basis)
 
+    @cached_property
+    def _face_of_rays(self):
+        return {f.rays: f for f in faces(self)}
+
     def __repr__(self):
         return f"Cone(rank={self.ambient_rank}, rays={self.rays}, lin={self.lin_basis})"
 
@@ -227,12 +232,20 @@ def cone_from_h(n, ineqs, eqs=()) -> Cone:
 
 def relint_contains(c: Cone, v) -> bool:
     """True iff v lies in the relative interior of c."""
-    if len(v) != c.ambient_rank:
+    return locate(c, v) == c
+
+
+def locate(c: Cone, m):
+    """The face of c holding m in its relative interior, or None when m is not
+    in c.  It is read off the facet values: the face is spanned by the rays of
+    c on which every facet normal that vanishes at m also vanishes."""
+    if len(m) != c.ambient_rank:
         raise DimensionMismatch("vector length does not match ambient rank")
-    v = tuple(v)
-    return all(vec_dot(e, v) == 0 for e in c.eqs) and all(
-        vec_dot(a, v) > 0 for a in c.ineqs
-    )
+    values = [vec_dot(a, m) for a in c.ineqs]
+    if any(v < 0 for v in values) or any(vec_dot(e, m) for e in c.eqs):
+        return None
+    zero = [a for a, v in zip(c.ineqs, values) if v == 0]
+    return c._face_of_rays[tuple(r for r in c.rays if not any(vec_dot(a, r) for a in zero))]
 
 
 def relint_point(c: Cone):
@@ -243,14 +256,30 @@ def relint_point(c: Cone):
     return pt
 
 
+_RECORDED = {}  # face -> its faces, as recorded by `faces` of a larger cone
+
+
 @lru_cache(maxsize=None)
 def faces(c: Cone):
     """All faces of c, including c itself and its minimal face, canonically ordered.
 
-    Faces are enumerated through the sets of extreme rays annihilated by
-    tight inequality subsets.  Each distinct ray subset s is one face: c with
-    the inequalities tight on s turned into equalities.
+    A face f of c has the lineality of c and a subset of its rays, so the faces
+    of f are the faces of c inside f: they are recorded, and `faces(f)` reads
+    them instead of building each face again.
     """
+    if c in _RECORDED:
+        return _RECORDED.pop(c)
+    out = _enumerate_faces(c)
+    rays = {f: set(f.rays) for f in out}
+    for f in out[:-1]:
+        _RECORDED.setdefault(f, tuple(g for g in out if rays[g] <= rays[f]))
+    return out
+
+
+def _enumerate_faces(c: Cone):
+    """Faces are enumerated through the sets of extreme rays annihilated by
+    tight inequality subsets.  Each distinct ray subset s is one face: c with
+    the inequalities tight on s turned into equalities."""
     n = c.ambient_rank
     ray_list = list(c.rays)
     start = frozenset(range(len(ray_list)))
@@ -301,6 +330,7 @@ class Fan:
 
     ambient_rank: int
     cones: tuple  # canonical order
+    facets: tuple  # the inclusion-maximal cones, in canonical order
 
     def __contains__(self, c):
         return c in self.cones
@@ -312,41 +342,44 @@ class Fan:
         return len(self.cones)
 
 
+def _meets_in_face(c1: Cone, c2: Cone) -> bool:
+    common = intersect(c1, c2)
+    return is_face_of(common, c1) and is_face_of(common, c2)
+
+
 def fan_validate(n, cones) -> Fan:
     """Check the fan axioms; report violations instead of repairing them.
 
-    Two faces of one listed cone meet in a face of it, hence in a common face,
-    so only pairs that are not faces of one listed cone are intersected."""
+    A face-closed set of cones is a fan iff its maximal cones meet pairwise in
+    common faces (faces of two of them then meet in a face of their common
+    face), so only those pairs are intersected.  When one fails, the pair
+    reported is the first failing one in canonical order; pairs of faces of one
+    listed cone are skipped there, as they meet in a face of it."""
     cone_list = sorted(set(cones), key=Cone.sort_key)
     if not cone_list:
         raise MissingFace(None, None)
     for c in cone_list:
         if c.ambient_rank != n:
             raise DimensionMismatch("cone ambient rank does not match fan")
+    for c in reversed(cone_list):  # larger cones first: they record the faces of their faces
+        faces(c)
     above = {c: set() for c in cone_list}  # indices of the listed cones c is a face of
     for i, c in enumerate(cone_list):
         for f in faces(c):
             if f not in above:
                 raise MissingFace(c, f)
             above[f].add(i)
-    for i, c1 in enumerate(cone_list):
-        for c2 in cone_list[i + 1 :]:
-            if above[c1] & above[c2]:
-                continue
-            common = intersect(c1, c2)
-            if not (is_face_of(common, c1) and is_face_of(common, c2)):
-                raise BadIntersection(c1, c2, witness=relint_point(common))
-    return Fan(n, tuple(cone_list))
+    facets = tuple(c for c in cone_list if len(above[c]) == 1)
+    if not all(_meets_in_face(c1, c2) for c1, c2 in combinations(facets, 2)):
+        for c1, c2 in combinations(cone_list, 2):
+            if not above[c1] & above[c2] and not _meets_in_face(c1, c2):
+                raise BadIntersection(c1, c2, witness=relint_point(intersect(c1, c2)))
+    return Fan(n, tuple(cone_list), facets)
 
 
 def face_fan_closure(n, cones) -> Fan:
     """Close the given cones under faces, then validate."""
     return fan_validate(n, {f for c in cones for f in faces(c)})
-
-
-def fan_facets(f: Fan):
-    """Inclusion-maximal cones of the fan, in canonical order."""
-    return [c for c in f.cones if not any(o != c and is_face_of(c, o) for o in f.cones)]
 
 
 def fan_minimal_cone(f: Fan) -> Cone:

@@ -10,7 +10,6 @@ fiberwise by exact integer rank computations.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -152,6 +151,7 @@ def fiber_cohomology(fc: FiberComplex):
 
 def make_form(x: MonoidalComplex, p, mapping) -> GradedForm:
     """Build a GradedForm from {degree: coordinate tuple}, validating shapes."""
+    from fractions import Fraction  # not needed at start-up
     clean = []
     for m, coords in dict(mapping).items():
         m = tuple(int(v) for v in m)
@@ -182,6 +182,7 @@ def form_add(a: GradedForm, b: GradedForm) -> GradedForm:
 
 def differential(x: MonoidalComplex, w: GradedForm) -> GradedForm:
     """Termwise alpha(m) wedge -, preserving each degree m."""
+    from fractions import Fraction  # not needed at start-up
     out = []
     for m, coords in w.terms:
         fc = fiber_complex(x, m)
@@ -225,6 +226,7 @@ def _wedge_power(mat: IntMatrix, p) -> IntMatrix:
 
 def module_action(x: MonoidalComplex, mp, w: GradedForm) -> GradedForm:
     """Multiplication by chi^{mp}: shift surviving terms and include multivectors."""
+    from fractions import Fraction  # not needed at start-up
     mp = tuple(int(v) for v in mp)
     if not in_support(x, mp):
         raise DegreeNotInSupport(f"degree {mp} is not in the support")

@@ -20,7 +20,7 @@ from .errors import (
     NotAFace,
     NotFiniteExtension,
 )
-from .cones import Cone, cone_from_generators, faces, is_face_of, relint_contains
+from .cones import Cone, cone_from_generators, faces, is_face_of, locate
 from .linalg import (
     IntMatrix,
     Sublattice,
@@ -287,10 +287,7 @@ class StratifiedMonoid:
         for f in faces(cone):
             if f not in lattice_of:
                 raise BadLatticeFamily(f, cone, "strata must cover every face")
-        items = tuple(sorted(
-            ((f, lattice_of[f]) for f in faces(cone)), key=lambda kv: kv[0].sort_key()
-        ))
-        sm = StratifiedMonoid(cone, items)
+        sm = StratifiedMonoid(cone, tuple((f, lattice_of[f]) for f in faces(cone)))
         sm._validate()
         return sm
 
@@ -302,11 +299,9 @@ class StratifiedMonoid:
                 raise BadLatticeFamily(f, self.cone, "stratum not inside the face span")
             if lat.rank != f.dim:
                 raise BadLatticeFamily(f, self.cone, "stratum does not have finite index")
-        for f1 in table:
-            for f2 in table:
-                if f1 != f2 and is_face_of(f1, f2):
-                    if not lattice_contains(table[f2], table[f1]):
-                        raise BadLatticeFamily(f1, f2, "strata are not nested along faces")
+        for f1, f2 in itertools.product(table, table):
+            if f1 != f2 and is_face_of(f1, f2) and not lattice_contains(table[f2], table[f1]):
+                raise BadLatticeFamily(f1, f2, "strata are not nested along faces")
 
     @cached_property
     def _table(self):
@@ -318,21 +313,9 @@ class StratifiedMonoid:
         except KeyError:
             raise NotAFace("no stratum for the given face") from None
 
-    def locate(self, m):
-        """The unique face containing m in its relative interior, or None."""
-        m = tuple(m)
-        if not self.cone.contains(m):
-            return None
-        for f, _lat in self.strata:
-            if relint_contains(f, m):
-                return f
-        return None
-
     def member(self, m) -> bool:
-        f = self.locate(m)
-        if f is None:
-            return False
-        return member_lattice(self.lattice_of(f), m)
+        f = locate(self.cone, m)
+        return f is not None and member_lattice(self.lattice_of(f), m)
 
 
 def stratify(s: AffineMonoid) -> StratifiedMonoid:
@@ -382,12 +365,6 @@ def box_points(n, bound):
     return itertools.product(range(-bound, bound + 1), repeat=n)
 
 
-def _ray_faces(c: Cone):
-    """Each ray of c paired with its face of dimension one above the lineality."""
-    rank1 = [f for f in faces(c) if f.dim == c.lin_dim + 1]
-    return [(r, next(f for f in rank1 if f.contains(r))) for r in c.rays]
-
-
 def _subset_sums(n, vectors):
     """The sums of all subsets of the vectors (the empty sum is 0)."""
     sums = [tuple(0 for _ in range(n))]
@@ -413,9 +390,9 @@ def _strata_candidates(strat: StratifiedMonoid):
     n = cone.ambient_rank
     units = strat.lattice_of(faces(cone)[0]).basis_vectors()
     r = {}
-    for ray, f in _ray_faces(cone):
+    for ray in cone.rays:
         line = Sublattice.from_generators(n, [ray])
-        b = _lattice_intersection(strat.lattice_of(f), line).basis_vectors()[0]
+        b = _lattice_intersection(strat.lattice_of(locate(cone, ray)), line).basis_vectors()[0]
         r[ray] = b if cone.contains(b) else vec_neg(b)
     top = strat.lattice_of(cone)
     out = set()
@@ -517,11 +494,8 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
     """
     n = s.ambient_rank
     cone = monoid_cone(s)
-    minf = faces(cone)[0]
-    r = {
-        ray: min(g for g in s.generators if f.contains(g) and not minf.contains(g))
-        for ray, f in _ray_faces(cone)
-    }
+    r = {ray: min(g for g in s.generators if locate(cone, g) == locate(cone, ray))
+         for ray in cone.rays}
     units = group.basis_vectors()
     bases = []
     for simplex in _simplices(cone):

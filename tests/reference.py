@@ -8,9 +8,9 @@ normals and equations.
 import itertools
 from math import gcd
 
-from torf.cones import fan_facets
+from torf.cones import Cone, faces, intersect, is_face_of, relint_point
 from torf.errors import DimensionMismatch
-from torf.linalg import Sublattice, vec_add, vec_is_zero
+from torf.linalg import Sublattice, vec_add, vec_dot, vec_is_zero
 from torf.monoids import (
     AffineMonoid,
     _parallelepiped_points,
@@ -119,4 +119,23 @@ def normalize_cone_by_cone(x, char=None):
 
 def is_weakly_normal_facetwise(x, char) -> bool:
     """Weak normality of the complex x at `char`, decided on each facet monoid."""
-    return all(is_weakly_normal(x.monoid_of(f), char) for f in fan_facets(x.fan))
+    return all(is_weakly_normal(x.monoid_of(f), char) for f in x.fan.facets)
+
+
+def locate_scan(c: Cone, m):
+    """The face of c whose relative interior holds m, by a scan of faces(c)
+    with the strict facet inequalities; None when no face holds it."""
+    return next((f for f in faces(c) if all(vec_dot(e, m) == 0 for e in f.eqs)
+                 and all(vec_dot(a, m) > 0 for a in f.ineqs)), None)
+
+
+def all_pairs_failure(cones):
+    """First pair, in canonical order, whose intersection is not a common
+    face, as (cone1, cone2, witness); None when every pair passes."""
+    cone_list = sorted(set(cones), key=Cone.sort_key)
+    for i, c1 in enumerate(cone_list):
+        for c2 in cone_list[i + 1 :]:
+            common = intersect(c1, c2)
+            if not (is_face_of(common, c1) and is_face_of(common, c2)):
+                return c1, c2, relint_point(common)
+    return None

@@ -523,7 +523,7 @@ class TestDeterminism:
 GOLDEN_COMMANDS = (
     ("validate",), ("orbits",), ("classify",), ("normalize",),
     ("normalize", "--mode", "wn", "--char", "2"), ("normalize", "--mode", "wn", "--char", "3"),
-    ("betti", "--theoretical"), ("forms", "--box", "2"),
+    ("betti", "--theoretical"), ("betti", "--box", "3"), ("forms", "--box", "2"),
 )
 CLI_DIGESTS = json.loads(Path(__file__).with_name("cli_digests.json").read_text())
 

@@ -98,6 +98,20 @@ class TestValidation:
             complex_validate(2, face_fan_closure(2, [QUAD]), table)
         assert exc.value.witness == (2, 0)
 
+    def test_first_of_two_incompatible_pairs(self):
+        # both half-axes on x are too small: the pair checked first is the one
+        # whose cone comes first in canonical order
+        left = cone_from_generators(2, [(-1, 0), (0, 1)])
+        fan = face_fan_closure(2, [QUAD, left])
+        table = {c: AffineMonoid.make(2, [g for g in ((1, 0), (0, 1), (-1, 0)) if c.contains(g)])
+                 for c in fan}
+        xneg = cone_from_generators(2, [(-1, 0)])
+        table[xneg] = AffineMonoid.make(2, [(-2, 0)])
+        table[XRAY] = AffineMonoid.make(2, [(2, 0)])
+        with pytest.raises(CompatibilityFailure) as exc:
+            complex_validate(2, fan, table)
+        assert (exc.value.face, exc.value.cone, exc.value.witness) == (xneg, left, (-1, 0))
+
 
 class TestSupport:
     def test_locate(self):

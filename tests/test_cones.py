@@ -1,10 +1,13 @@
 """Rational cones, face lattices, and fans."""
 
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import torf.cones
 from torf.errors import (
     BadIntersection,
     DimensionMismatch,
@@ -13,21 +16,23 @@ from torf.errors import (
 )
 from torf.cones import (
     Cone,
+    _enumerate_faces,
     cone_difference,
     cone_from_generators,
     cone_from_h,
     dual_rays,
     face_fan_closure,
     faces,
-    fan_facets,
     fan_minimal_cone,
     fan_validate,
     intersect,
     is_face_of,
+    locate,
     relint_contains,
-    relint_point,
 )
 from torf.linalg import IntMatrix, rank, vec_dot
+
+from reference import all_pairs_failure, locate_scan
 
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
@@ -139,7 +144,7 @@ class TestFans:
     def test_face_fan_closure(self):
         f = face_fan_closure(2, [QUAD])
         assert len(f) == 4
-        assert fan_facets(f) == [QUAD]
+        assert list(f.facets) == [QUAD]
         assert fan_minimal_cone(f) == ZERO2
 
     def test_star_fan(self):
@@ -213,38 +218,119 @@ class TestConeProperties:
             assert rank(IntMatrix.from_rows(tight, ncols=n)) == n - c.lin_dim - 1
 
 
-def all_pairs_failure(cones):
-    """First pair, in canonical order, whose intersection is not a common
-    face, as (cone1, cone2, witness); None when every pair passes."""
-    cone_list = sorted(set(cones), key=Cone.sort_key)
-    for i, c1 in enumerate(cone_list):
-        for c2 in cone_list[i + 1 :]:
-            common = intersect(c1, c2)
-            if not (is_face_of(common, c1) and is_face_of(common, c2)):
-                return c1, c2, relint_point(common)
-    return None
-
-
 @st.composite
-def face_closures(draw):
+def face_closures(draw, min_cones=2, max_cones=3):
     n = draw(st.integers(1, 3))
     vec = st.tuples(*[st.integers(-2, 2)] * n)
     cone = st.lists(vec, max_size=3).map(lambda gens: cone_from_generators(n, gens))
-    tops = draw(st.lists(cone, min_size=2, max_size=3))
+    tops = draw(st.lists(cone, min_size=min_cones, max_size=max_cones))
     return n, {f for c in tops for f in faces(c)}
 
 
+def check_against_all_pairs(n, closure):
+    """fan_validate's verdict, and its failing pair and witness, are those of
+    the all-pairs scan."""
+    failure = all_pairs_failure(closure)
+    if failure is None:
+        assert fan_validate(n, closure).cones == tuple(sorted(closure, key=Cone.sort_key))
+    else:
+        with pytest.raises(BadIntersection) as e:
+            fan_validate(n, closure)
+        assert (e.value.cone1, e.value.cone2, e.value.witness) == failure
+
+
 class TestFanValidateProperties:
-    """Skipping pairs that share a cone changes no verdict and no witness."""
+    """Deciding a fan from its maximal cones changes no verdict and no witness."""
 
     @PROPERTY
     @given(face_closures())
     def test_matches_all_pairs_check(self, case):
-        n, closure = case
-        failure = all_pairs_failure(closure)
-        if failure is None:
-            assert fan_validate(n, closure).cones == tuple(sorted(closure, key=Cone.sort_key))
-        else:
-            with pytest.raises(BadIntersection) as e:
-                fan_validate(n, closure)
-            assert (e.value.cone1, e.value.cone2, e.value.witness) == failure
+        check_against_all_pairs(*case)
+
+    @settings(PROPERTY, max_examples=15)
+    @given(face_closures(3, 5))
+    def test_matches_all_pairs_check_on_more_cones(self, case):
+        check_against_all_pairs(*case)
+
+
+def octants(n):
+    """The maximal cones of the complete fan of (P^1)^n."""
+    e = lambda i, s: tuple(s if j == i else 0 for j in range(n))
+    return [cone_from_generators(n, [e(i, s) for i, s in enumerate(signs)])
+            for signs in itertools.product((1, -1), repeat=n)]
+
+
+def projective_cones(n):
+    """The maximal cones of the complete fan of P^n."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return [cone_from_generators(n, rays[:k] + rays[k + 1 :]) for k in range(n + 1)]
+
+
+class TestFanFromMaximalCones:
+    """A fan is decided from its maximal cones; every cone's faces are read off
+    the faces of the larger cones."""
+
+    @pytest.mark.parametrize("tops, cones, facets", [(octants(3), 27, 8),
+                                                     (projective_cones(3), 15, 4)])
+    def test_complete_fans(self, tops, cones, facets):
+        fan = fan_validate(3, {f for c in tops for f in faces(c)})
+        assert (len(fan), len(fan.facets)) == (cones, facets)
+        assert set(fan.facets) == set(tops)
+
+    def test_intersects_and_enumerates_only_maximal_cones(self, monkeypatch):
+        tops = octants(3)
+        listed = {f for c in tops for f in faces(c)}
+        # fresh face caches, so that every enumeration in fan_validate is seen
+        monkeypatch.setattr(torf.cones, "faces", lru_cache(maxsize=None)(faces.__wrapped__))
+        monkeypatch.setattr(torf.cones, "_RECORDED", {})
+        intersected, enumerated = [], []
+        real_intersect, real_enumerate = torf.cones.intersect, torf.cones._enumerate_faces
+        monkeypatch.setattr(torf.cones, "intersect",
+                            lambda c1, c2: intersected.append({c1, c2}) or real_intersect(c1, c2))
+        monkeypatch.setattr(torf.cones, "_enumerate_faces",
+                            lambda c: enumerated.append(c) or real_enumerate(c))
+        fan = torf.cones.fan_validate(3, listed)
+        assert len(fan) == 27
+        assert len(intersected) == 28
+        pairs = itertools.combinations(tops, 2)
+        assert set(map(frozenset, intersected)) == set(map(frozenset, pairs))
+        assert sorted(enumerated, key=Cone.sort_key) == list(fan.facets)
+
+
+LOCATE_EXAMPLES = (
+    cone_from_generators(0, []),  # the rank-0 cone
+    cone_from_generators(2, []),
+    cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)]),  # a half-plane: lineality
+    cone_from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 1, -1)]),
+    cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+)
+
+
+class TestLocate:
+    """The face holding a degree in its relative interior, read off the facet values."""
+
+    @PROPERTY
+    @given(cones())
+    @example(LOCATE_EXAMPLES[0])
+    @example(LOCATE_EXAMPLES[1])
+    @example(LOCATE_EXAMPLES[2])
+    @example(LOCATE_EXAMPLES[3])
+    @example(LOCATE_EXAMPLES[4])
+    def test_matches_face_scan(self, c):
+        n = c.ambient_rank
+        bound = 2 if n <= 2 else 1
+        for m in itertools.product(range(-bound, bound + 1), repeat=n):
+            f = locate(c, m)
+            assert f == locate_scan(c, m)
+            assert (f is None) == (not c.contains(m))
+            assert relint_contains(c, m) == (f == c)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            locate(QUAD, (1, 0, 0))
+
+    @settings(PROPERTY, max_examples=30)
+    @given(cones())
+    def test_recorded_faces_equal_enumeration(self, c):
+        for f in faces(c):
+            assert faces(f) == _enumerate_faces(f)

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from torf.errors import DegreeNotInSupport, NotWeaklyNormal
-from torf.cones import cone_from_generators, face_fan_closure, fan_validate
+from torf.cones import cone_from_generators, face_fan_closure, fan_validate, relint_contains
 from torf.complexes import (
     complex_from_monoid_subfan,
     full_complex,
@@ -36,7 +36,6 @@ from torf.monoids import (
     box_points,
     member,
     monoid_cone,
-    relint_contains,
 )
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])

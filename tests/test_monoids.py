@@ -6,13 +6,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torf.errors import NotFiniteExtension
+from torf.errors import BadLatticeFamily, NotFiniteExtension
 from torf.cones import cone_from_generators, faces
 from torf.linalg import Sublattice, lattice_index, member_lattice, saturate
 from torf.monoids import (
     _MR_LIMIT,
     AffineMonoid,
     Characteristic,
+    StratifiedMonoid,
     box_points,
     _is_prime,
     cone_lattice_generators,
@@ -154,6 +155,22 @@ class TestStratify:
         assert st.member((2, 0))
         assert not st.member((1, 0))
         assert st.member((1, 1))
+
+    def test_strata_in_face_order(self):
+        st = stratify(PINCH)
+        assert [f for f, _lat in st.strata] == list(faces(monoid_cone(PINCH)))
+
+    def test_first_of_two_unnested_pairs(self):
+        # both ray strata are coarser than the top one; the first face in
+        # canonical order is reported
+        quad = cone_from_generators(2, [(1, 0), (0, 1)])
+        zero, yray, xray, _quad = faces(quad)
+        lattices = {zero: Sublattice.zero(2), xray: Sublattice.from_generators(2, [(1, 0)]),
+                    yray: Sublattice.from_generators(2, [(0, 1)]),
+                    quad: Sublattice.from_generators(2, [(2, 0), (0, 2)])}
+        with pytest.raises(BadLatticeFamily) as exc:
+            StratifiedMonoid.make(quad, lattices)
+        assert (exc.value.face, exc.value.cone) == (yray, quad)
 
     def test_roundtrip_from_strata(self):
         for s in (PINCH, NSG23, NN):

@@ -66,10 +66,12 @@ class TestStartup:
         script = ("import contextlib, io, json, sys\nfrom torf.cli import main\n"
                   "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
                   f"    code = main(['betti', {str(path)!r}, '--theoretical'])\n"
-                  "print(json.dumps([code, out.getvalue(), 'torf.derham' in sys.modules]))")
-        code, out, loaded = fresh(script)
+                  "print(json.dumps([code, out.getvalue(), 'torf.derham' in sys.modules,\n"
+                  "                  'fractions' in sys.modules]))")
+        code, out, loaded, fractions = fresh(script)
         assert (code, loaded) == (0, True)
         assert "1, 2, 1" in out
+        assert not fractions  # no command builds a Fraction
 
 
 class TestTracedNames:
