@@ -39,6 +39,7 @@ from .monoids import (
     cone_lattice_generators,
     face_restriction,
     from_strata,
+    generates,
     is_seminormal,
     member,
     monoid_cone,
@@ -76,7 +77,7 @@ def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
     Generation: each monoid generates exactly its assigned cone.  Face
     compatibility S_tau = S_sigma `intersect` tau is checked exactly on
     generators: S_sigma intersect tau is generated by the generators of
-    S_sigma lying in the face tau.
+    S_sigma lying in the face tau, so it holds when those are S_tau's.
     """
     table = {}
     for c in fan:
@@ -85,12 +86,14 @@ def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
         s = monoid_of[c]
         if s.ambient_rank != n:
             raise DimensionMismatch("monoid ambient rank does not match the fan")
-        if monoid_cone(s) != c:
+        if not generates(s, c):
             raise GenerationFailure(c)
         table[c] = s
     for sig in fan:
         for tau in faces(sig)[:-1]:
             st, ss = table[tau], table[sig]
+            if st.generators == tuple(g for g in ss.generators if tau.contains(g)):
+                continue
             for g in st.generators:
                 if not member(ss, g):
                     raise CompatibilityFailure(tau, sig, g)
@@ -102,9 +105,14 @@ def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
 
 
 def full_complex(fan: Fan) -> MonoidalComplex:
-    """Assign every cone its saturated monoid of lattice points."""
+    """Assign every cone its saturated monoid of lattice points: the Hilbert
+    basis of a face is the Hilbert basis of a facet above it inside the face."""
     n = fan.ambient_rank
-    table = {c: AffineMonoid.make(n, cone_lattice_generators(c)) for c in fan}
+    table = {}
+    for f in fan.facets:
+        gens = cone_lattice_generators(f)
+        for c in faces(f):
+            table.setdefault(c, AffineMonoid.make(n, [g for g in gens if c.contains(g)]))
     return complex_validate(n, fan, table)
 
 

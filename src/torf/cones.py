@@ -14,7 +14,8 @@ Each construction runs the double description method (from the full space,
 which is exact and handles lineality and implicit equalities) at most once:
 `cone_from_generators` for the H-description, `cone_from_h` for the
 V-description.  `_cone` reads the canonical form off both descriptions, so
-`faces` and `cone_difference` build theirs from the stored ones and run none.
+`faces` and `cone_difference` build theirs from the stored ones and run none;
+a face keeps its cone's rays and lineality and reduces only its covectors.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     MissingFace,
     NotAFace,
+    NotASubfan,
 )
 from .linalg import (
     Sublattice,
@@ -181,28 +183,26 @@ def _pm(vectors):
     return list(vectors) + [vec_neg(v) for v in vectors]
 
 
-def _cone(n, gens, covectors) -> Cone:
-    """Canonical Cone from a complete pair: cone(gens) = {x : covectors >= 0}.
+def _reduce(n, vecs, duals):
+    """One side `vecs` of a complete pair cone(gens) = {x : covectors >= 0},
+    reduced against the other side `duals`: the generators to the lineality
+    basis and the rays, the covectors (which generate the dual) to `eqs` and
+    the facet normals.  The smallest face containing v is cut out by the duals
+    tight at v: v lies in the span when every dual is tight, and is extreme
+    when no vector outside it has a strictly larger tight set."""
+    tight = [frozenset(i for i, a in enumerate(duals) if vec_dot(a, v) == 0) for v in vecs]
+    full = frozenset(range(len(duals)))
+    lat = saturate(Sublattice.from_generators(n, [v for v, t in zip(vecs, tight) if t == full]))
+    proper = set(tight) - {full}
+    proj = _projector(lat)  # applied to the extreme vectors only
+    return tuple(lat.basis_vectors()), tuple(sorted(dict.fromkeys(
+        vec_primitive(proj(v)) for v, t in zip(vecs, tight)
+        if t in proper and not any(t < u for u in proper))))
 
-    Each side is reduced against the other, the generators to the lineality
-    and the rays, the covectors (which generate the dual) to `eqs` and the
-    facet normals.  The smallest face containing v is cut out by the duals
-    tight at v: v lies in the lineality when every dual is tight, and spans
-    an extreme ray when no vector outside it has a strictly larger tight set.
-    """
-    out = []
-    for vecs, duals in ((gens, covectors), (covectors, gens)):
-        tight = [frozenset(i for i, a in enumerate(duals) if vec_dot(a, v) == 0) for v in vecs]
-        full = frozenset(range(len(duals)))
-        lat = saturate(Sublattice.from_generators(
-            n, [v for v, t in zip(vecs, tight) if t == full]))
-        proper = set(tight) - {full}
-        proj = _projector(lat)  # applied to the extreme vectors only
-        out.append(tuple(lat.basis_vectors()))
-        out.append(tuple(sorted(dict.fromkeys(
-            vec_primitive(proj(v)) for v, t in zip(vecs, tight)
-            if t in proper and not any(t < u for u in proper)))))
-    lin, rays, eqs, ineqs = out
+
+def _cone(n, gens, covectors) -> Cone:
+    """Canonical Cone from a complete pair: cone(gens) = {x : covectors >= 0}."""
+    (lin, rays), (eqs, ineqs) = _reduce(n, gens, covectors), _reduce(n, covectors, gens)
     return Cone(n, rays, lin, ineqs, eqs)
 
 
@@ -279,7 +279,8 @@ def faces(c: Cone):
 def _enumerate_faces(c: Cone):
     """Faces are enumerated through the sets of extreme rays annihilated by
     tight inequality subsets.  Each distinct ray subset s is one face: c with
-    the inequalities tight on s turned into equalities."""
+    the inequalities tight on s turned into equalities; its rays and lineality,
+    which are c's, are canonical already, so only its covectors are reduced."""
     n = c.ambient_rank
     ray_list = list(c.rays)
     start = frozenset(range(len(ray_list)))
@@ -293,18 +294,19 @@ def _enumerate_faces(c: Cone):
                 seen.add(t)
                 queue.append(t)
     lin_gens, covs = _pm(c.lin_basis), list(c.ineqs) + _pm(c.eqs)
-    out = set()
+    out = []
     for s in seen:
-        rays = [ray_list[i] for i in sorted(s)]
+        rays = tuple(ray_list[i] for i in sorted(s))
         tight = [vec_neg(a) for a in c.ineqs if all(vec_dot(a, r) == 0 for r in rays)]
-        out.add(_cone(n, rays + lin_gens, covs + tight))
+        eqs, ineqs = _reduce(n, covs + tight, list(rays) + lin_gens)
+        out.append(Cone(n, rays, c.lin_basis, ineqs, eqs))
     return tuple(sorted(out, key=Cone.sort_key))
 
 
 def is_face_of(t: Cone, s: Cone) -> bool:
     if t.ambient_rank != s.ambient_rank:
         raise DimensionMismatch("ambient ranks differ")
-    return t in faces(s)
+    return s._face_of_rays.get(t.rays) == t
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
@@ -347,14 +349,8 @@ def _meets_in_face(c1: Cone, c2: Cone) -> bool:
     return is_face_of(common, c1) and is_face_of(common, c2)
 
 
-def fan_validate(n, cones) -> Fan:
-    """Check the fan axioms; report violations instead of repairing them.
-
-    A face-closed set of cones is a fan iff its maximal cones meet pairwise in
-    common faces (faces of two of them then meet in a face of their common
-    face), so only those pairs are intersected.  When one fails, the pair
-    reported is the first failing one in canonical order; pairs of faces of one
-    listed cone are skipped there, as they meet in a face of it."""
+def _face_poset(n, cones):
+    """The cones in canonical order, `above` and the facets; MissingFace if not face-closed."""
     cone_list = sorted(set(cones), key=Cone.sort_key)
     if not cone_list:
         raise MissingFace(None, None)
@@ -369,7 +365,18 @@ def fan_validate(n, cones) -> Fan:
             if f not in above:
                 raise MissingFace(c, f)
             above[f].add(i)
-    facets = tuple(c for c in cone_list if len(above[c]) == 1)
+    return cone_list, above, tuple(c for c in cone_list if len(above[c]) == 1)
+
+
+def fan_validate(n, cones) -> Fan:
+    """Check the fan axioms; report violations instead of repairing them.
+
+    A face-closed set of cones is a fan iff its maximal cones meet pairwise in
+    common faces (faces of two of them then meet in a face of their common
+    face), so only those pairs are intersected.  When one fails, the pair
+    reported is the first failing one in canonical order; pairs of faces of one
+    listed cone are skipped there, as they meet in a face of it."""
+    cone_list, above, facets = _face_poset(n, cones)
     if not all(_meets_in_face(c1, c2) for c1, c2 in combinations(facets, 2)):
         for c1, c2 in combinations(cone_list, 2):
             if not above[c1] & above[c2] and not _meets_in_face(c1, c2):
@@ -380,6 +387,18 @@ def fan_validate(n, cones) -> Fan:
 def face_fan_closure(n, cones) -> Fan:
     """Close the given cones under faces, then validate."""
     return fan_validate(n, {f for c in cones for f in faces(c)})
+
+
+def subfan(fan: Fan, cones) -> Fan:
+    """The face closure of cones of a validated fan, a fan with nothing to intersect.
+    A closure off the fan is validated, then NotASubfan names its first cone off it."""
+    closure = {f for c in cones for f in faces(c)}
+    outside = sorted((c for c in closure if c not in fan), key=Cone.sort_key)
+    if outside:
+        fan_validate(fan.ambient_rank, closure)
+        raise NotASubfan(f"{outside[0]} is not in the complex fan")
+    cone_list, _above, facets = _face_poset(fan.ambient_rank, closure)
+    return Fan(fan.ambient_rank, tuple(cone_list), facets)
 
 
 def fan_minimal_cone(f: Fan) -> Cone:

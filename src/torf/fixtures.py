@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 
 from .errors import UnknownFixture
-from .cones import Fan, cone_from_generators, face_fan_closure, fan_validate
+from .cones import Fan, cone_from_generators, face_fan_closure, faces, fan_validate, subfan
 from .complexes import (
     MonoidalComplex,
     complex_from_monoid_subfan,
@@ -32,8 +32,7 @@ def _unit(n, i, sign=1):
 
 
 def _torus(n) -> MonoidalComplex:
-    gens = [_unit(n, i, s) for i in range(n) for s in (1, -1)]
-    c = cone_from_generators(n, gens)
+    c = cone_from_generators(n, [_unit(n, i, s) for i in range(n) for s in (1, -1)])
     return full_complex(face_fan_closure(n, [c]))
 
 
@@ -45,8 +44,7 @@ def _affine(n) -> MonoidalComplex:
 def _boundary_fan(x: MonoidalComplex) -> Fan:
     """Subfan of all non-maximal cones (the proper faces)."""
     top = max(c.dim for c in x.cones())
-    keep = [c for c in x.cones() if c.dim < top]
-    return fan_validate(x.ambient_rank, keep)
+    return subfan(x.fan, [c for c in x.cones() if c.dim < top])
 
 
 def _pinch() -> MonoidalComplex:
@@ -60,22 +58,18 @@ def _numeric_semigroup(gens) -> MonoidalComplex:
 
 
 def _normal_crossings(q, d) -> MonoidalComplex:
-    """Union of q coordinate hyperplanes in affine (d+1)-space."""
+    """Union of q coordinate hyperplanes in affine (d+1)-space: orthant facets."""
     n = d + 1
     s = AffineMonoid.make(n, [_unit(n, i) for i in range(n)])
-    facets = []
-    for i in range(q):
-        facets.append(
-            cone_from_generators(n, [_unit(n, j) for j in range(n) if j != i])
-        )
-    return complex_from_monoid_subfan(s, face_fan_closure(n, facets))
+    orthant = monoid_cone(s)
+    facets = [next(f for f in faces(orthant) if f.dim == d and not f.contains(_unit(n, i)))
+              for i in range(q)]
+    return complex_from_monoid_subfan(s, subfan(face_fan_closure(n, [orthant]), facets))
 
 
 def _axes_cross() -> MonoidalComplex:
-    pos = cone_from_generators(1, [(1,)])
-    neg = cone_from_generators(1, [(-1,)])
-    zero = cone_from_generators(1, [])
-    return full_complex(fan_validate(1, [pos, neg, zero]))
+    gens = ([(1,)], [(-1,)], [])  # the two half-lines and the origin
+    return full_complex(fan_validate(1, [cone_from_generators(1, g) for g in gens]))
 
 
 def fixture_names():
@@ -116,9 +110,7 @@ def fixture(name: str) -> FixtureData:
         d = int(m.group(1))
         if d < 2:
             raise UnknownFixture(f"power extension needs d >= 2: {name}")
-        s = AffineMonoid.make(1, [(d,)])
-        x = complex_from_monoid_subfan(s, face_fan_closure(1, [monoid_cone(s)]))
-        return _pack(name, x)
+        return _pack(name, _numeric_semigroup((d,)))
     m = re.fullmatch(r"numeric-semigroup-(\d+)-(\d+)", name)
     if m:
         return _pack(name, _numeric_semigroup((int(m.group(1)), int(m.group(2)))))

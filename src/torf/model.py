@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .cones import Cone, Fan, cone_from_generators, face_fan_closure, fan_validate
-from .complexes import MonoidalComplex, check_subfan, complex_validate
+from .cones import Cone, Fan, cone_from_generators, face_fan_closure, fan_validate, subfan
+from .complexes import MonoidalComplex, complex_validate
 from .monoids import (
     AffineMonoid,
     StratifiedMonoid,
@@ -223,12 +223,8 @@ def build_complex(doc: ModelDoc):
         else:
             table[c] = AffineMonoid.make(n, cone_lattice_generators(c))
     x = complex_validate(n, fan, table)
-    pairs = {
-        pname: face_fan_closure(n, [named[c] for c in names])
-        for pname, names in doc.pair_specs.items()
-    }
-    for subfan in pairs.values():
-        check_subfan(x, subfan)
+    pairs = {pname: subfan(fan, [named[c] for c in names])
+             for pname, names in doc.pair_specs.items()}
     return x, pairs
 
 
@@ -264,7 +260,7 @@ def serialize_model(x: MonoidalComplex, pairs=None) -> dict:
     }
     if pairs:
         doc["pairs"] = {
-            pname: sorted(names[c] for c in subfan) for pname, subfan in pairs.items()
+            pname: sorted(names[c] for c in sub) for pname, sub in pairs.items()
         }
     return doc
 

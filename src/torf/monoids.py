@@ -100,10 +100,30 @@ def monoid_gp(s: AffineMonoid) -> Sublattice:
     return Sublattice.from_generators(s.ambient_rank, list(s.generators))
 
 
+_GENERATED = {}  # monoid -> its cone, recorded by `generates`
+
+
 @lru_cache(maxsize=None)
 def monoid_cone(s: AffineMonoid) -> Cone:
-    """The rational cone generated by S."""
+    """The rational cone generated by S: the one `generates` recorded, if any."""
+    if s in _GENERATED:
+        return _GENERATED.pop(s)
     return cone_from_generators(s.ambient_rank, list(s.generators))
+
+
+def generates(s: AffineMonoid, c: Cone) -> bool:
+    """Whether cone(S) = c, recorded as S's cone if so.  Exact: every generator
+    lies in c, each ray face of c holds one in its relative interior, and those
+    in the lineality L generate L (a double description of these units)."""
+    where = [locate(c, g) for g in s.generators]
+    lineality = faces(c)[0]
+    if None in where or any(c._face_of_rays[(r,)] not in where for r in c.rays):
+        return False
+    units = [g for g, f in zip(s.generators, where) if f == lineality]
+    if c.lin_basis and cone_from_generators(s.ambient_rank, units) != lineality:
+        return False
+    _GENERATED.setdefault(s, c)
+    return True
 
 
 @lru_cache(maxsize=None)

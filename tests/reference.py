@@ -2,18 +2,31 @@
 code does not use them.
 
 `hilbert_basis_brute` uses nothing of torf past the cone's stored facet
-normals and equations.
+normals and equations.  `generates_by_dd`, `face_from_scratch` and
+`saturated_by_cone` are the constructions that reading a cone's stored form
+replaced: a double description of every generator set, both sides of every
+face canonicalized, and one Hilbert basis per cone.
 """
 
 import itertools
 from math import gcd
 
-from torf.cones import Cone, faces, intersect, is_face_of, relint_point
+from torf.cones import (
+    Cone,
+    _cone,
+    _pm,
+    cone_from_generators,
+    faces,
+    intersect,
+    is_face_of,
+    relint_point,
+)
 from torf.errors import DimensionMismatch
-from torf.linalg import Sublattice, vec_add, vec_dot, vec_is_zero
+from torf.linalg import Sublattice, vec_add, vec_dot, vec_is_zero, vec_neg
 from torf.monoids import (
     AffineMonoid,
     _parallelepiped_points,
+    cone_lattice_generators,
     from_strata,
     is_weakly_normal,
     member,
@@ -139,3 +152,21 @@ def all_pairs_failure(cones):
             if not (is_face_of(common, c1) and is_face_of(common, c2)):
                 return c1, c2, relint_point(common)
     return None
+
+
+def generates_by_dd(s: AffineMonoid, c: Cone) -> bool:
+    """cone(S) = c, by the double description of all generators of S."""
+    return cone_from_generators(s.ambient_rank, list(s.generators)) == c
+
+
+def face_from_scratch(c: Cone, rays) -> Cone:
+    """The face of c spanned by the given rays of c and its lineality, with
+    both sides canonicalized: the generators as well as the covectors."""
+    tight = [vec_neg(a) for a in c.ineqs if all(vec_dot(a, r) == 0 for r in rays)]
+    return _cone(c.ambient_rank, list(rays) + _pm(c.lin_basis),
+                 list(c.ineqs) + _pm(c.eqs) + tight)
+
+
+def saturated_by_cone(fan):
+    """Every cone of the fan with its own saturated monoid."""
+    return {c: AffineMonoid.make(fan.ambient_rank, cone_lattice_generators(c)) for c in fan}

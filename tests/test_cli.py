@@ -294,6 +294,51 @@ class TestPairNotASubfan:
         assert err.count("\n") == 1 and err.startswith("torf: NotASubfan: ")
 
 
+class TestPinnedErrorPaths:
+    """Generation on a cone with a lineality, and a pair whose face closure is
+    not in the fan and is no fan, give these outputs."""
+
+    LINE = {"schema": SCHEMA, "ambient_rank": "1", "cones": {"l": [["1"], ["-1"]]},
+            "fan": {"face_closure_of": ["l"]}}
+    NOT_A_FAN = {
+        "schema": SCHEMA, "ambient_rank": "2",
+        "cones": {"q": [["1", "0"], ["0", "1"]], "b": [["1", "1"], ["-1", "1"]]},
+        "fan": {"face_closure_of": ["q"]}, "pairs": {"bad": ["q", "b"]},
+    }
+    OVERLAP = ("BadIntersection: cones do not intersect along a common face "
+               "(witness point (0, 1))")
+
+    def line(self, tmp_path, gens):
+        return write_model(tmp_path, dict(self.LINE, monoids={"l": {"generators": gens}}))
+
+    def test_units_not_generating_the_line(self, capsys, tmp_path):
+        path = self.line(tmp_path, [["1"]])
+        code, out, err = run(capsys, "validate", path)
+        assert (code, err) == (2, "")
+        assert out == ("torf validate\ninvalid: GenerationFailure: monoid does not "
+                       "generate its assigned cone: cone[+-(1)]\n")
+        code, out, _err = run(capsys, "validate", path, "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["results"] == {"valid": False, "error": "GenerationFailure"}
+
+    def test_units_generating_the_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", self.line(tmp_path, [["2"], ["-3"]]))
+        assert (code, err) == (0, "")
+        assert out == ("torf validate\nvalid monoidal complex with 1 cones\n"
+                       "  cone[+-(1)]: generators (-3), (2)\n")
+
+    def test_pair_closure_no_fan(self, capsys, tmp_path):
+        path = write_model(tmp_path, self.NOT_A_FAN)
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out, err) == (2, f"torf validate\ninvalid: {self.OVERLAP}\n", "")
+        code, out, _err = run(capsys, "validate", path, "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["results"] == {"valid": False, "error": "BadIntersection",
+                                              "witness": ["0", "1"]}
+        code, out, err = run(capsys, "forms", path, "--pair", "bad")
+        assert (code, out, err) == (2, "", f"torf: {self.OVERLAP}\n")
+
+
 class TestArguments:
     """Bad arguments exit 1 with one line, before any computation."""
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import torf.complexes
 import torf.cones
 from torf.errors import (
+    BadIntersection,
     BadLatticeFamily,
     CompatibilityFailure,
     ConeNotInFan,
@@ -54,7 +55,7 @@ from torf.monoids import (
     monoid_equal,
 )
 
-from reference import is_weakly_normal_facetwise, normalize_cone_by_cone
+from reference import is_weakly_normal_facetwise, normalize_cone_by_cone, saturated_by_cone
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
@@ -409,6 +410,40 @@ class TestGerms:
 
         mini = fan_minimal_cone(g.fan)
         assert mini.rays == () and mini.lin_dim == 1
+
+
+@st.composite
+def pointed_fans(draw):
+    """The face closure of 1 to 3 pointed cones in rank n <= 3, when it is a fan."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    cone = st.lists(vec.filter(any), min_size=n, max_size=3).map(
+        lambda gens: cone_from_generators(n, gens))
+    tops = draw(st.lists(cone.filter(lambda c: c.lin_dim == 0), min_size=1, max_size=3))
+    try:
+        return face_fan_closure(n, tops)
+    except BadIntersection:
+        return face_fan_closure(n, tops[:1])
+
+
+class TestSaturatedFromFacets:
+    """Each face takes its facet's Hilbert basis elements inside it, which is
+    the face's own Hilbert basis."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(pointed_fans())
+    def test_matches_per_cone_saturation(self, fan):
+        assert dict(full_complex(fan).assignment) == saturated_by_cone(fan)
+
+    @pytest.mark.parametrize("tops", [
+        [[(1, 0), (-1, 0), (0, 1)], [(1, 0), (-1, 0), (1, -2)]],  # two half-planes
+        [[(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 1, -1)], [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 2, 3)]],
+        [[(1, 0, 0), (1, 2, 0), (1, 1, 3)], [(1, 0, 0), (1, 2, 0), (1, 1, -2)]],
+    ])
+    def test_fans_with_lineality_and_deep_hilbert_bases(self, tops):
+        n = len(tops[0][0])
+        fan = face_fan_closure(n, [cone_from_generators(n, gens) for gens in tops])
+        assert dict(full_complex(fan).assignment) == saturated_by_cone(fan)
 
 
 class TestNoRevalidation:

@@ -13,6 +13,8 @@ from torf.errors import (
     DimensionMismatch,
     MissingFace,
     NotAFace,
+    NotASubfan,
+    TorfError,
 )
 from torf.cones import (
     Cone,
@@ -29,10 +31,11 @@ from torf.cones import (
     is_face_of,
     locate,
     relint_contains,
+    subfan,
 )
 from torf.linalg import IntMatrix, rank, vec_dot
 
-from reference import all_pairs_failure, locate_scan
+from reference import all_pairs_failure, face_from_scratch, locate_scan
 
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
@@ -181,6 +184,7 @@ class TestFans:
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+LINEALITY_EXAMPLE = cone_from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 1, -1)])
 
 
 @st.composite
@@ -207,6 +211,15 @@ class TestConeProperties:
             assert f == cone_from_generators(n, f.generators)
             d = cone_difference(c, f)
             assert d == cone_from_generators(n, d.generators)
+
+    @PROPERTY
+    @given(cones())
+    @example(LINEALITY_EXAMPLE)
+    def test_faces_from_parent_match_scratch(self, c):
+        # a face keeps its cone's rays and lineality and reduces its covectors
+        for f in _enumerate_faces(c):
+            assert f == face_from_scratch(c, f.rays)
+            assert is_face_of(f, c)
 
     @PROPERTY
     @given(cones())
@@ -251,6 +264,61 @@ class TestFanValidateProperties:
     @given(face_closures(3, 5))
     def test_matches_all_pairs_check_on_more_cones(self, case):
         check_against_all_pairs(*case)
+
+
+def closure_of(cones):
+    return {f for c in cones for f in faces(c)}
+
+
+def subfan_or_error(fan, cones):
+    """subfan's answer, or its error class and message."""
+    try:
+        return subfan(fan, cones)
+    except TorfError as e:
+        return type(e), str(e)
+
+
+def closure_then_membership(fan, cones):
+    """What validating the closure, then looking for a cone off the fan gives."""
+    try:
+        sub = face_fan_closure(fan.ambient_rank, cones)
+    except TorfError as e:
+        return type(e), str(e)
+    outside = [c for c in sub if c not in fan]
+    return (NotASubfan, f"{outside[0]} is not in the complex fan") if outside else sub
+
+
+class TestSubfanProperties:
+    """A face-closed set of cones of a fan is a fan: subfan intersects nothing
+    and gives what validating the closure gives, errors included."""
+
+    @PROPERTY
+    @given(face_closures(1, 3), st.data())
+    def test_matches_fan_validate(self, case, data):
+        n, closure = case
+        try:
+            fan = fan_validate(n, closure)
+        except BadIntersection:
+            return
+        picked = data.draw(st.lists(st.sampled_from(fan.cones), min_size=1, max_size=3))
+        assert subfan(fan, picked) == fan_validate(n, closure_of(picked))
+
+    @PROPERTY
+    @given(face_closures(1, 2), face_closures(1, 2))
+    def test_off_the_fan_matches_closure_then_membership(self, case, other):
+        (n, closure), (m, more) = case, other
+        try:
+            fan = fan_validate(n, closure)
+        except BadIntersection:
+            return
+        picked = [max(closure, key=Cone.sort_key)] + (list(more) if m == n else [])
+        assert subfan_or_error(fan, picked) == closure_then_membership(fan, picked)
+
+    def test_no_intersection(self, monkeypatch):
+        fan = fan_validate(3, closure_of(octants(3)))
+        monkeypatch.setattr(torf.cones, "intersect", lambda *a: pytest.fail("intersected"))
+        sub = subfan(fan, octants(3)[:2])
+        assert (len(sub), len(sub.facets)) == (12, 2)
 
 
 def octants(n):

@@ -4,11 +4,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torf.errors import BadLatticeFamily, NotFiniteExtension
 from torf.cones import cone_from_generators, faces
-from torf.linalg import Sublattice, lattice_index, member_lattice, saturate
+from torf.linalg import Sublattice, lattice_index, member_lattice, saturate, vec_neg
 from torf.monoids import (
     _MR_LIMIT,
     AffineMonoid,
@@ -19,6 +19,7 @@ from torf.monoids import (
     cone_lattice_generators,
     face_restriction,
     from_strata,
+    generates,
     is_seminormal,
     is_weakly_normal,
     member,
@@ -31,7 +32,14 @@ from torf.monoids import (
     weak_normalization,
 )
 
-from reference import coset_reps, facet_values, hilbert_basis_brute, minors_gcd, sn_member_oracle
+from reference import (
+    coset_reps,
+    facet_values,
+    generates_by_dd,
+    hilbert_basis_brute,
+    minors_gcd,
+    sn_member_oracle,
+)
 
 PINCH = AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)])
 NSG23 = AffineMonoid.make(1, [(2,), (3,)])
@@ -298,6 +306,42 @@ class TestLatticeHelpers:
             for b in reps[i + 1:]:
                 diff = tuple(x - y for x, y in zip(a, b))
                 assert not member_lattice(sub, diff)
+
+
+@st.composite
+def generation_cases(draw):
+    """A set G in Z^n, n <= 3, and a cone that cone(G) may or may not be:
+    cone(G), the span of G (a lineality that G may span without generating
+    it), cone(G) with the first generator's line, with one more vector, or
+    without the last generator."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    gens = draw(st.lists(vec, max_size=5))
+    cone_gens = draw(st.sampled_from([
+        gens, gens + [vec_neg(g) for g in gens], gens + [vec_neg(g) for g in gens[:1]],
+        gens + [draw(vec)], gens[:-1]]))
+    return AffineMonoid.make(n, gens), cone_from_generators(n, cone_gens)
+
+
+def gen_case(n, gens, cone_gens):
+    return AffineMonoid.make(n, gens), cone_from_generators(n, cone_gens)
+
+
+class TestGenerationProperties:
+    """Generation read off the assigned cone is the double description's answer."""
+
+    @settings(PROPERTY, max_examples=150)
+    @given(generation_cases())
+    @example(gen_case(2, [(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 0), (0, -1)]))  # spans R^2 only
+    @example(gen_case(1, [(1,)], [(1,), (-1,)]))
+    @example(gen_case(1, [(2,), (-3,)], [(1,), (-1,)]))
+    @example(gen_case(2, [(1, 0), (1, 1)], [(1, 0), (0, 1)]))  # misses the ray (0, 1)
+    @example(gen_case(2, [(1, 0), (1, 1)], [(1, 0), (-1, 0), (0, 1)]))
+    @example(gen_case(2, [(2, 0), (-2, 0), (1, 1)], [(1, 0), (-1, 0), (0, 1)]))
+    def test_matches_double_description(self, case):
+        s, c = case
+        assert generates(s, c) == generates_by_dd(s, c)
+        assert not generates(s, c) or monoid_cone(s) == c
 
 
 class TestFaceRestriction:

@@ -14,6 +14,7 @@ import pytest
 from torf.cli import main
 from torf.cones import cone_from_generators
 from torf.errors import DimensionMismatch
+from torf.fixtures import fixture_names
 from torf.linalg import IntMatrix, Sublattice
 from torf.model import ModelDoc
 from torf.monoids import AffineMonoid, Characteristic, stratify
@@ -84,6 +85,26 @@ class TestTracedNames:
                 "print(json.dumps(layer_metrics(merge([tracer.snapshot()]))))")
         metrics = fresh(code)
         assert metrics and [k for k, v in metrics.items() if v is None] == []
+
+
+class TestConstructionCount:
+    """Building fixtures runs the double description only for cones that no
+    stored cone describes: faces, saturations, generation checks and boundary
+    subfans read what their cones hold."""
+
+    def dual_rays_calls(self, names):
+        code = ("import json\nimport torf.cones\nfrom torf.fixtures import fixture\n"
+                "calls, real = [], torf.cones.dual_rays\n"
+                "torf.cones.dual_rays = lambda *a: calls.append(a) or real(*a)\n"
+                f"for name in {names!r}:\n    fixture(name)\n"
+                "print(json.dumps(len(calls)))")
+        return fresh(code)
+
+    def test_affine_3_once(self):
+        assert self.dual_rays_calls(["affine-3"]) == 1
+
+    def test_good_fixtures(self):
+        assert self.dual_rays_calls(fixture_names()) <= 16
 
 
 class TestPackageSurface:
