@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import GenerationFailure, ParseError
 from .cones import Cone, Fan, cone_from_generators, face_fan_closure, fan_validate, subfan
 from .complexes import MonoidalComplex, complex_validate
 from .monoids import (
@@ -18,6 +18,7 @@ from .monoids import (
     cone_lattice_generators,
     face_restriction,
     from_strata,
+    generates,
     is_face_of,
 )
 from .linalg import Sublattice
@@ -196,9 +197,10 @@ def _build_monoid(doc: ModelDoc, name, cone: Cone, spec) -> AffineMonoid:
 def build_complex(doc: ModelDoc):
     """Assemble and validate the complex and its pairs; returns (complex, pairs).
 
-    Fan cones without an explicit monoid inherit the restriction of the
-    explicit monoid on the smallest cone containing them, or the saturated
-    monoid when no such cone exists.
+    Every explicit monoid must generate its cone (GenerationFailure, fan
+    cones first).  Fan cones without an explicit monoid inherit the
+    restriction of the explicit monoid on the smallest cone containing them,
+    or the saturated monoid when no such cone exists.
     """
     n = doc.ambient_rank
     named = {name: cone_from_generators(n, g) for name, g in doc.cone_gens.items()}
@@ -211,6 +213,9 @@ def build_complex(doc: ModelDoc):
                              "only one of them may have a monoid")
         owner[c] = name
         explicit[c] = _build_monoid(doc, name, c, spec)
+    for c in sorted(explicit, key=lambda c: (c not in fan, c.sort_key())):
+        if not generates(explicit[c], c):  # before restricting it to faces
+            raise GenerationFailure(c)
     table = {}
     for c in fan:
         if c in explicit:

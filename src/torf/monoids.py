@@ -147,8 +147,9 @@ def member(s: AffineMonoid, m) -> bool:
     """Exact membership: m is a nonnegative integer combination of generators.
 
     Iterative depth-first search on m minus one pointed generator at a time,
-    grounded in membership of the unit lattice; pruned by cone and group
-    membership, memoized per monoid.
+    grounded in membership of the unit lattice, memoized per monoid.  m is
+    tested against the cone and gp(S) once; every later state lies in
+    m + gp(S) and enters the search only if the cone contains it.
     """
     m = tuple(int(x) for x in m)
     if len(m) != s.ambient_rank:
@@ -157,20 +158,14 @@ def member(s: AffineMonoid, m) -> bool:
     if m in cache:
         return cache[m]
     cone = monoid_cone(s)
-    gp = monoid_gp(s)
+    if not cone.contains(m) or not member_lattice(monoid_gp(s), m):
+        cache[m] = False
+        return False
     units, pointed = _unit_split(s)
-
-    def prune(v):
-        return not cone.contains(v) or not member_lattice(gp, v)
-
     stack = [m]
     while stack:
         v = stack[-1]
         if v in cache:
-            stack.pop()
-            continue
-        if prune(v):
-            cache[v] = False
             stack.pop()
             continue
         if member_lattice(units, v):

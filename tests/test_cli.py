@@ -321,6 +321,24 @@ class TestPinnedErrorPaths:
         assert code == 2
         assert json.loads(out)["results"] == {"valid": False, "error": "GenerationFailure"}
 
+    @pytest.mark.parametrize("fan", ["q", "r"])
+    def test_restricted_monoid_not_generating(self, capsys, tmp_path, fan):
+        """A monoid missing a ray of its cone is reported on that cone, not
+        when it is restricted to the cone's faces, also when the cone is not
+        in the fan and only lends the monoid to its face r."""
+        path = write_model(tmp_path, {
+            "schema": SCHEMA, "ambient_rank": "2",
+            "cones": {"q": [["1", "0"], ["0", "1"]], "r": [["1", "0"]]},
+            "fan": {"face_closure_of": [fan]},
+            "monoids": {"q": {"generators": [["1", "0"], ["1", "1"]]}}})
+        code, out, err = run(capsys, "validate", path)
+        assert (code, err) == (2, "")
+        assert out == ("torf validate\ninvalid: GenerationFailure: monoid does not "
+                       "generate its assigned cone: cone[(0, 1); (1, 0)]\n")
+        code, out, _err = run(capsys, "validate", path, "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["results"] == {"valid": False, "error": "GenerationFailure"}
+
     def test_units_generating_the_line(self, capsys, tmp_path):
         code, out, err = run(capsys, "validate", self.line(tmp_path, [["2"], ["-3"]]))
         assert (code, err) == (0, "")

@@ -94,6 +94,93 @@ class TestMembership:
         assert not monoid_equal(NSG23, AffineMonoid.make(1, [(1,)]))
 
 
+REACH = 6  # the membership oracle's bound on the first coordinate
+
+
+def reachable(pointed):
+    """The sums of `pointed` (first coordinates >= 1) with first coordinate
+    at most REACH: all of N<pointed> there, since every partial sum of such a
+    point's representation has a smaller first coordinate."""
+    seen = {tuple(0 for _ in pointed[0])}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for g in pointed:
+            w = tuple(a + b for a, b in zip(v, g))
+            if w[0] <= REACH and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def oracle_member(reach, units, m):
+    """m in N<pointed> + sum of a_j Z e_j over units {j: a_j}, for m[0] <= REACH
+    (the units have first coordinate 0)."""
+    return any(p[0] == m[0] and all(
+        (x - y) % units[j] == 0 if j in units else x == y
+        for j, (x, y) in enumerate(zip(m, p)) if j > 0) for p in reach)
+
+
+def membership_case(pointed, units, queries):
+    """The monoid of `pointed` and the units +-a_j e_j, with the queries, a
+    sample of its points of first coordinate at most REACH, and each of
+    those plus e_1 or e_n (often a gap or off gp(S))."""
+    n = len(pointed[0])
+    unit_gens = [tuple(s * a * (i == j) for i in range(n)) for j, a in units.items() for s in (1, -1)]
+    reach = reachable(pointed)
+    sample = sorted(reach)[::5]
+    shifted = [p[:-1] + (p[-1] + 1,) for p in sample]
+    shifted += [(p[0] + 1,) + p[1:] for p in sample if p[0] < REACH]
+    return AffineMonoid.make(n, pointed + unit_gens), reach, units, queries + sample + shifted
+
+
+@st.composite
+def membership_cases(draw, with_units):
+    """Monoids of rank 1 to 3 whose pointed generators have first coordinate
+    1..3 and other entries -3..3, with units +-a_j e_j (j >= 1) if asked, and
+    shuffled queries in and out of the cone and of gp(S)."""
+    n = draw(st.integers(2 if with_units else 1, 3))
+    pointed = draw(st.lists(st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (n - 1)),
+                            min_size=1, max_size=4))
+    units = draw(st.dictionaries(st.integers(1, n - 1), st.integers(1, 3),
+                                 min_size=int(with_units))) if with_units else {}
+    queries = draw(st.lists(st.tuples(st.integers(-1, REACH), *[st.integers(-9, 9)] * (n - 1)),
+                            max_size=30))
+    s, reach, units, queries = membership_case(pointed, units, queries)
+    draw(st.randoms(use_true_random=False)).shuffle(queries)
+    return s, reach, units, queries
+
+
+class TestMembershipProperties:
+    """The depth-first search against reachability with a bounded first
+    coordinate, with queries sharing the memo of one monoid."""
+
+    @PROPERTY
+    @given(membership_cases(with_units=False))
+    @example(membership_case([(2, 0), (2, 2)], {}, [(1, 1), (2, -1), (4, 2), (3, 1), (0, 0)]))
+    @example(membership_case([(1,)], {}, [(-1,), (3,)]))
+    def test_pointed_against_reachability(self, case):
+        s, reach, units, queries = case
+        for m in queries:
+            assert member(s, m) == oracle_member(reach, units, m), m
+
+    @PROPERTY
+    @given(membership_cases(with_units=True))
+    @example(membership_case([(2, 1), (1, 0)], {1: 2}, [(1, 1), (2, 0), (3, 2), (-1, 0)]))
+    def test_with_units(self, case):
+        """Against the oracle, and unchanged by adding any of several units."""
+        s, reach, units, queries = case
+        n = s.ambient_rank
+        steps = [tuple(k * a * (i == j) for i in range(n)) for j, a in units.items()
+                 for k in (-2, -1, 1, 3)]
+        steps.append(tuple(units.get(i, 0) for i in range(n)))
+        for m in queries:
+            expected = oracle_member(reach, units, m)
+            assert member(s, m) == expected, m
+            for u in steps:
+                assert member(s, tuple(x + y for x, y in zip(m, u))) == expected, (m, u)
+
+
 class TestSaturation:
     def test_pinch(self):
         assert saturation(PINCH).generators == ((0, 1), (1, 0))
