@@ -34,6 +34,7 @@ from .linalg import (
     Sublattice,
     saturate,
     snf,
+    vec_add,
     vec_dot,
     vec_is_zero,
     vec_neg,
@@ -158,8 +159,7 @@ class Cone:
     def contains(self, v) -> bool:
         if len(v) != self.ambient_rank:
             raise DimensionMismatch("vector length does not match ambient rank")
-        v = tuple(v)
-        return all(vec_dot(e, v) == 0 for e in self.eqs) and all(
+        return not any(vec_dot(e, v) for e in self.eqs) and all(
             vec_dot(a, v) >= 0 for a in self.ineqs
         )
 
@@ -250,9 +250,9 @@ def locate(c: Cone, m):
 
 def relint_point(c: Cone):
     """A lattice point in the relative interior (sum of the extreme rays)."""
-    pt = tuple(0 for _ in range(c.ambient_rank))
+    pt = (0,) * c.ambient_rank
     for r in c.rays:
-        pt = tuple(a + b for a, b in zip(pt, r))
+        pt = vec_add(pt, r)
     return pt
 
 

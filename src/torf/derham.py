@@ -171,29 +171,22 @@ def form_add(a: GradedForm, b: GradedForm) -> GradedForm:
     acc = {}
     for m, coords in a.terms + b.terms:
         if m in acc:
-            acc[m] = tuple(x + y for x, y in zip(acc[m], coords))
+            acc[m] = vec_add(acc[m], coords)
         else:
             acc[m] = coords
-    terms = tuple(sorted(
-        (m, c) for m, c in acc.items() if any(v != 0 for v in c)
-    ))
+    terms = tuple(sorted((m, c) for m, c in acc.items() if any(c)))
     return GradedForm(a.p, terms)
 
 
 def differential(x: MonoidalComplex, w: GradedForm) -> GradedForm:
     """Termwise alpha(m) wedge -, preserving each degree m."""
-    from fractions import Fraction  # not needed at start-up
     out = []
     for m, coords in w.terms:
         fc = fiber_complex(x, m)
         if w.p >= fc.dim:
             continue
-        mat = fc.matrices[w.p]
-        new = tuple(
-            sum(Fraction(mat.entry(i, j)) * coords[j] for j in range(mat.cols))
-            for i in range(mat.rows)
-        )
-        if any(c != 0 for c in new):
+        new = fc.matrices[w.p].mul_vec(coords)
+        if any(new):
             out.append((m, new))
     return GradedForm(w.p + 1, tuple(sorted(out)))
 
@@ -226,7 +219,6 @@ def _wedge_power(mat: IntMatrix, p) -> IntMatrix:
 
 def module_action(x: MonoidalComplex, mp, w: GradedForm) -> GradedForm:
     """Multiplication by chi^{mp}: shift surviving terms and include multivectors."""
-    from fractions import Fraction  # not needed at start-up
     mp = tuple(int(v) for v in mp)
     if not in_support(x, mp):
         raise DegreeNotInSupport(f"degree {mp} is not in the support")
@@ -235,17 +227,11 @@ def module_action(x: MonoidalComplex, mp, w: GradedForm) -> GradedForm:
         if not degrees_multiply(x, mp, m):
             continue
         m2 = vec_add(m, mp)
-        wp = _wedge_power(_inclusion_matrix(x, m, m2), w.p)
-        new = tuple(
-            sum(Fraction(wp.entry(i, j)) * coords[j] for j in range(wp.cols))
-            for i in range(wp.rows)
-        )
+        new = _wedge_power(_inclusion_matrix(x, m, m2), w.p).mul_vec(coords)
         if m2 in acc:
-            new = tuple(a + b for a, b in zip(acc[m2], new))
+            new = vec_add(acc[m2], new)
         acc[m2] = new
-    terms = tuple(sorted(
-        (m, c) for m, c in acc.items() if any(v != 0 for v in c)
-    ))
+    terms = tuple(sorted((m, c) for m, c in acc.items() if any(c)))
     return GradedForm(w.p, terms)
 
 

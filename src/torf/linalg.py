@@ -17,34 +17,36 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from math import gcd
+from operator import add, mul, neg, sub
 
 from .errors import DimensionMismatch, NotASublattice
 from .values import value
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(u):
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vec_scale(c, u):
-    return tuple(c * a for a in u)
+    return tuple(map(mul, repeat(c), u))
 
 
 def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_is_zero(u):
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def vec_primitive(u):
@@ -128,12 +130,9 @@ class IntMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = other.col_list()
+        return IntMatrix(self.rows, other.cols,
+                         tuple(vec_dot(self.row(i), c) for i in range(self.rows) for c in cols))
 
     def mul_vec(self, v):
         if self.cols != len(v):
@@ -222,8 +221,8 @@ def snf(a: IntMatrix):
         u[x], u[y] = u[y], u[x]
 
     def rowadd(dst, src, q):
-        m[dst] = [d + q * s for d, s in zip(m[dst], m[src])]
-        u[dst] = [d + q * s for d, s in zip(u[dst], u[src])]
+        m[dst] = list(map(add, m[dst], map(mul, repeat(q), m[src])))
+        u[dst] = list(map(add, u[dst], map(mul, repeat(q), u[src])))
 
     def colswap(x, y):
         for r in m:
@@ -443,7 +442,7 @@ def lattice_coords(lat: Sublattice, v):
         if r:
             return None
         y.append(q)
-        rest = [a - q * c for a, c in zip(rest, col)]
+        rest = list(map(sub, rest, map(mul, repeat(q), col)))
     return None if any(rest) else tuple(y)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd
 
 from .errors import (
@@ -106,15 +107,16 @@ _GENERATED = {}  # monoid -> its cone, recorded by `generates`
 @lru_cache(maxsize=None)
 def monoid_cone(s: AffineMonoid) -> Cone:
     """The rational cone generated by S: the one `generates` recorded, if any."""
-    if s in _GENERATED:
-        return _GENERATED.pop(s)
-    return cone_from_generators(s.ambient_rank, list(s.generators))
+    return _GENERATED.get(s) or cone_from_generators(s.ambient_rank, list(s.generators))
 
 
 def generates(s: AffineMonoid, c: Cone) -> bool:
     """Whether cone(S) = c, recorded as S's cone if so.  Exact: every generator
     lies in c, each ray face of c holds one in its relative interior, and those
-    in the lineality L generate L (a double description of these units)."""
+    in the lineality L generate L (a double description of these units).  A
+    recorded cone decides it at once, as cone(S) is unique."""
+    if s in _GENERATED:
+        return _GENERATED[s] == c
     where = [locate(c, g) for g in s.generators]
     lineality = faces(c)[0]
     if None in where or any(c._face_of_rays[(r,)] not in where for r in c.rays):
@@ -122,7 +124,7 @@ def generates(s: AffineMonoid, c: Cone) -> bool:
     units = [g for g, f in zip(s.generators, where) if f == lineality]
     if c.lin_basis and cone_from_generators(s.ambient_rank, units) != lineality:
         return False
-    _GENERATED.setdefault(s, c)
+    _GENERATED[s] = c
     return True
 
 
@@ -162,26 +164,26 @@ def member(s: AffineMonoid, m) -> bool:
         cache[m] = False
         return False
     units, pointed = _unit_split(s)
+    contains, in_units = cone.contains, member_lattice
     stack = [m]
     while stack:
         v = stack[-1]
         if v in cache:
             stack.pop()
             continue
-        if member_lattice(units, v):
+        if in_units(units, v):
             cache[v] = True
             stack.pop()
             continue
-        children = [vec_sub(v, g) for g in pointed]
-        children = [c for c in children if cone.contains(c)]
-        unknown = [c for c in children if c not in cache]
-        if any(cache.get(c) is True for c in children):
+        children = [c for c in map(vec_sub, repeat(v), pointed) if contains(c)]
+        known = list(map(cache.get, children))
+        if True in known:
             cache[v] = True
             stack.pop()
-        elif unknown:
-            stack.extend(unknown)
+        elif None in known:
+            stack.extend(c for c, k in zip(children, known) if k is None)
         else:
-            cache[v] = any(cache[c] for c in children)
+            cache[v] = False
             stack.pop()
     return cache[m]
 

@@ -3,8 +3,9 @@
 `@value` takes the fields from the class annotations, in order, and adds
 `__init__` (positional or keyword, plain defaults, then `__post_init__`),
 same-class `__eq__` and a dataclass-style `__repr__`.  `frozen=True` adds the
-dataclass `__hash__` (that of the tuple of fields) and forbids assignment;
-`cached_property` still works, as it writes to the instance `__dict__`.
+dataclass `__hash__` (that of the tuple of fields, computed on the first
+lookup and kept with the fields) and forbids assignment; `cached_property`
+still works, as it writes to the instance `__dict__`.
 """
 
 from operator import attrgetter
@@ -43,11 +44,18 @@ def value(cls=None, *, frozen=False):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
         return f"{self.__class__.__qualname__}({fields})"
 
+    def __hash__(self):
+        try:
+            return self._value_hash
+        except AttributeError:  # the first lookup hashes the fields
+            set_field(self, "_value_hash", hash(key(self)))
+        return self._value_hash
+
     def frozen_field(self, name, *_value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     cls.__init__, cls.__eq__ = __init__, __eq__
-    cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+    cls.__hash__ = __hash__ if frozen else None
     if "__repr__" not in cls.__dict__:
         cls.__repr__ = __repr__
     if frozen:

@@ -9,6 +9,7 @@ face canonicalized, and one Hilbert basis per cone.
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 from torf.cones import (
@@ -70,6 +71,26 @@ def lattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
     if a.ambient_rank != b.ambient_rank:
         raise DimensionMismatch("ambient ranks differ")
     return Sublattice.from_generators(a.ambient_rank, a.basis_vectors() + b.basis_vectors())
+
+
+def rational_coords(cols, v):
+    """The integer y with sum_j y_j cols[j] = v, or None: Gauss-Jordan over
+    the rationals on linearly independent columns, then an integrality test."""
+    k = len(cols)
+    rows = [[Fraction(c[i]) for c in cols] + [Fraction(x)] for i, x in enumerate(v)]
+    r = 0
+    for j in range(k):
+        piv = next(i for i in range(r, len(rows)) if rows[i][j] != 0)
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][j] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j] != 0:
+                rows[i] = [x - rows[i][j] * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if any(row[k] != 0 for row in rows[k:]):
+        return None  # v is not in the rational span
+    y = [rows[j][k] for j in range(k)]
+    return tuple(int(x) for x in y) if all(x.denominator == 1 for x in y) else None
 
 
 def facet_values(cone, v):

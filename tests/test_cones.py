@@ -33,7 +33,7 @@ from torf.cones import (
     relint_contains,
     subfan,
 )
-from torf.linalg import IntMatrix, rank, vec_dot
+from torf.linalg import IntMatrix, rank, vec_add, vec_dot
 
 from reference import all_pairs_failure, face_from_scratch, locate_scan
 
@@ -402,3 +402,25 @@ class TestLocate:
     def test_recorded_faces_equal_enumeration(self, c):
         for f in faces(c):
             assert faces(f) == _enumerate_faces(f)
+
+
+class TestContains:
+    """`Cone.contains` is the definition: eqs vanish and ineqs are >= 0."""
+
+    @PROPERTY
+    @given(cones(), st.data())
+    def test_matches_definition(self, c, data):
+        n = c.ambient_rank
+        big = st.integers(-(2**70), 2**70)
+        picks = [data.draw(st.tuples(*[st.integers(-3, 3)] * n)),
+                 data.draw(st.tuples(*[big] * n))]
+        picks += [vec_add(p, g) for p in picks for g in c.generators[:2]]
+        for m in picks:
+            want = (all(sum(e[i] * m[i] for i in range(n)) == 0 for e in c.eqs)
+                    and all(sum(a[i] * m[i] for i in range(n)) >= 0 for a in c.ineqs))
+            assert c.contains(m) == c.contains(list(m)) == want
+
+    def test_wrong_length(self):
+        for v in ((1, 0, 0), [1], (), [0, 0, 0]):
+            with pytest.raises(DimensionMismatch):
+                QUAD.contains(v)

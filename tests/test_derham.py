@@ -86,8 +86,9 @@ class TestFiberSpaces:
     def test_weak_normality_required(self):
         s = AffineMonoid.make(1, [(2,), (3,)])
         x = complex_from_monoid_subfan(s, face_fan_closure(1, [monoid_cone(s)]))
-        with pytest.raises(NotWeaklyNormal):
-            fiber_space(x, (2,))
+        for entry in (fiber_space, alpha, fiber_complex, fiber_complex):  # a refusal is not cached
+            with pytest.raises(NotWeaklyNormal):
+                entry(x, (2,))
 
     def test_alpha_coordinates(self):
         x = n2()

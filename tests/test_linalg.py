@@ -22,11 +22,15 @@ from torf.linalg import (
     snf,
     solve_integer,
     vec_add,
+    vec_dot,
+    vec_is_zero,
+    vec_neg,
+    vec_scale,
     vec_sub,
 )
 from torf.monoids import _p_saturation
 
-from reference import coset_reps, lattice_sum
+from reference import coset_reps, lattice_sum, rational_coords
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -193,6 +197,7 @@ class TestSublattice:
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 ENTRY = st.integers(-30, 30)
+BIG = st.integers(-(2**70), 2**70)  # past 64 bits
 
 
 def vectors(n):
@@ -218,14 +223,14 @@ class TestLatticeCoords:
     def test_agrees_with_solve_integer(self, data):
         n = data.draw(st.integers(1, 4))
         lat = Sublattice.from_generators(n, data.draw(st.lists(vectors(n), max_size=4)))
-        coeffs = tuple(data.draw(st.integers(-30, 30)) for _ in range(lat.rank))
+        coeffs = tuple(data.draw(st.one_of(ENTRY, BIG)) for _ in range(lat.rank))
         inside = lat.basis.mul_vec(coeffs)
-        other = data.draw(vectors(n))
+        other = data.draw(st.one_of(vectors(n), st.tuples(*[BIG] * n)))
         assert lattice_coords(lat, inside) == coeffs
-        for v in (inside, other, vec_add(inside, other)):
+        for v in (inside, other, vec_add(inside, other), list(other)):
             y = lattice_coords(lat, v)
-            assert y == solve_integer(lat.basis, v)
-            assert y is None or lat.basis.mul_vec(y) == v
+            assert y == solve_integer(lat.basis, v) == rational_coords(lat.basis_vectors(), v)
+            assert y is None or lat.basis.mul_vec(y) == tuple(v)
             assert member_lattice(lat, v) == (y is not None)
 
     def test_non_member_rows(self):
@@ -284,3 +289,22 @@ class TestLatticeCoords:
         while low % p == 0:
             low //= p
         assert low == 1
+
+
+class TestVectorKernels:
+    """The map/operator kernels against plain loops, for tuples and lists."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_match_naive_loops(self, data):
+        n = data.draw(st.integers(0, 5))
+        u, v = (list(data.draw(st.tuples(*[BIG] * n))) for _ in range(2))
+        c = data.draw(BIG)
+        for x, y in ((u, v), (tuple(u), tuple(v))):
+            assert vec_add(x, y) == tuple(x[i] + y[i] for i in range(n))
+            assert vec_sub(x, y) == tuple(x[i] - y[i] for i in range(n))
+            assert vec_neg(x) == tuple(-x[i] for i in range(n))
+            assert vec_scale(c, x) == tuple(c * x[i] for i in range(n))
+            assert vec_dot(x, y) == sum(x[i] * y[i] for i in range(n))
+            assert vec_is_zero(x) == all(x[i] == 0 for i in range(n))
+            assert vec_is_zero([0] * n) and vec_is_zero(vec_sub(x, x))

@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+import torf.monoids
 from hypothesis import example, given, settings, strategies as st
 
 from torf.errors import BadLatticeFamily, NotFiniteExtension
@@ -429,6 +430,17 @@ class TestGenerationProperties:
         s, c = case
         assert generates(s, c) == generates_by_dd(s, c)
         assert not generates(s, c) or monoid_cone(s) == c
+
+    def test_recorded_verdict_is_reused(self, monkeypatch):
+        # a lineality needs a double description of the units the first time only
+        s, c = gen_case(2, [(1, 0), (-1, 0), (1, 1)], [(1, 0), (-1, 0), (0, 1)])
+        assert generates(s, c)
+        calls = []
+        real = torf.monoids.cone_from_generators
+        monkeypatch.setattr(torf.monoids, "cone_from_generators",
+                            lambda *a: calls.append(a) or real(*a))
+        assert generates(s, c) and not generates(s, cone_from_generators(2, [(1, 0), (0, 1)]))
+        assert calls == [] and monoid_cone(s) == c
 
 
 class TestFaceRestriction:
