@@ -354,7 +354,7 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
         if args.char and len(args.char) > 1 and args.command != "classify":
             parser.error(f"{args.command} takes one --char; only classify takes several")
     except SystemExit as e:

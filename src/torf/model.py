@@ -28,7 +28,7 @@ SCHEMA = "torf-1"
 
 _TOP_KEYS = {"schema", "ambient_rank", "cones", "fan", "monoids", "pairs", "options"}
 _OPTION_KEYS = {"box"}
-_MONOID_KEYS = {"generators", "saturated", "strata"}
+_MONOID_KEYS = {"generators", "strata"}
 
 
 def _int(v):

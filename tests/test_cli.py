@@ -266,6 +266,14 @@ class TestModelOptions:
         assert err.count("\n") == 1
         assert "unknown option keys: ['char']" in err
 
+    def test_saturated_key_named(self, capsys, tmp_path):
+        """The string "saturated" is a monoid spec of its own, not a key of one."""
+        path = write_model(tmp_path, dict(WIDE_MODEL, monoids={"c": {"saturated": True}}))
+        code, out, err = run(capsys, "validate", path)
+        assert code == 1
+        assert out == ""
+        assert err == "torf: unknown monoid keys: ['saturated']\n"
+
 
 class TestPairNotASubfan:
     """A pair whose cone is not in the fan is an invalid model."""
@@ -377,6 +385,19 @@ class TestArguments:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("torf: ")
         assert needle in err
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--char", "2", "--char", "3"),
+        ("normalize", "--mode", "wn", "--char", "2", "--format", "machine"),
+        ("betti", "--box", "2", "--pair", "boundary"),
+        ("forms", "--p", "1", "--box", "2"),
+    ])
+    def test_options_before_or_after_the_file(self, capsys, tmp_path, argv):
+        path = write_fixture(capsys, tmp_path, "pinch-pair")
+        after = run(capsys, argv[0], path, *argv[1:])
+        before = run(capsys, *argv, path)
+        assert after[0] == 0, after[2]
+        assert before == after
 
 
 class TestInternalFault:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,14 @@ from torf.errors import (
     ConeNotInFan,
     GenerationFailure,
     NotASubfan,
+    NotWeaklyNormal,
 )
 from torf.cones import (
     cone_from_generators,
     face_fan_closure,
     faces,
     fan_validate,
+    subfan,
 )
 from torf.complexes import (
     RingElem,
@@ -29,6 +32,7 @@ from torf.complexes import (
     complex_from_monoid_subfan,
     complex_validate,
     components,
+    degrees_multiply,
     full_complex,
     germ_at,
     in_support,
@@ -43,6 +47,19 @@ from torf.complexes import (
     support_box,
     support_locate,
     wn_complex,
+)
+from torf.derham import (
+    _inclusion_matrix,
+    _wedge_power,
+    betti,
+    differential,
+    fiber_cohomology,
+    fiber_complex,
+    fiber_space,
+    hdiff_general,
+    make_form,
+    module_action,
+    pair_dims,
 )
 from torf.fixtures import fixture, fixture_names
 from torf.linalg import Sublattice
@@ -323,6 +340,62 @@ class TestNormalizationThroughFamily:
         assert classify(y) == family
         if is_seminormal_complex(x):
             assert same_monoids(y, dict(x.assignment))
+
+
+def koszul_betti(x, box, pair=()):
+    """Betti numbers as the sum of Koszul fiber cohomology over the support box."""
+    total = [0] * (x.ambient_rank + 1)
+    for m, c in support_box(x, box).items():
+        if c not in pair:
+            for p, h in enumerate(fiber_cohomology(fiber_complex(x, m))):
+                total[p] += h
+    return tuple(total)
+
+
+class TestDeRhamReadsTheFamily:
+    """The de Rham layer locates support degrees in the lattice family.  The
+    references are the extracted seminormalization, the membership search
+    and the Koszul ranks of every fiber in the box."""
+
+    @PROPERTY
+    @given(monoid_complexes(), st.integers(0, 2), st.integers(0, 3))
+    def test_hdiff_general_matches_extracted_complex(self, x, p, box):
+        want = {m: comb(c.dim, p) for m, c in support_box(sn_complex(x), box).items()}
+        assert hdiff_general(x, p, box) == want
+
+    @PROPERTY
+    @given(monoid_complexes(), st.integers(0, 3), st.data())
+    def test_betti_and_pairs_match_koszul_ranks(self, x, box, data):
+        if not is_seminormal_complex(x):
+            with pytest.raises(NotWeaklyNormal):
+                betti(x, box_bound=box)
+            x = sn_complex(x)
+        sub = subfan(x.fan, [data.draw(st.sampled_from(x.cones()))])
+        for pair in (None, sub):
+            got = betti(x, pair_subfan=pair, box_bound=box).dims
+            assert got == koszul_betti(x, box, pair or ())
+            assert got == betti(x, pair_subfan=pair, theoretical=True).dims
+        p = data.draw(st.integers(0, x.ambient_rank))
+        want = {m: comb(c.dim, p) for m, c in support_box(x, box).items() if c not in sub}
+        assert pair_dims(x, sub, p, box)[0] == want
+
+    @PROPERTY
+    @given(monoid_complexes(), st.data())
+    def test_module_action_and_dd(self, x, data):
+        x = sn_complex(x)
+        degrees = sorted(support_box(x, 2))
+        p = data.draw(st.integers(0, x.ambient_rank))
+        terms = data.draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=4, unique=True))
+        w = make_form(x, p, {m: (1,) * comb(fiber_space(x, m).dim, p) for m in terms})
+        mp = data.draw(st.sampled_from(degrees))
+        want = {}
+        for m, coords in w.terms:
+            if degrees_multiply(x, mp, m):
+                m2 = tuple(a + b for a, b in zip(m, mp))
+                want[m2] = _wedge_power(_inclusion_matrix(x, m, m2), p).mul_vec(coords)
+        want = tuple(sorted((m, c) for m, c in want.items() if any(c)))
+        assert module_action(x, mp, w).terms == want
+        assert differential(x, differential(x, w)).terms == ()
 
 
 class TestClassification:

@@ -6,11 +6,21 @@ from math import comb
 
 import pytest
 
+import torf.complexes
+import torf.monoids
 from torf.errors import DegreeNotInSupport, NotWeaklyNormal
-from torf.cones import cone_from_generators, face_fan_closure, fan_validate, relint_contains
+from torf.cones import (
+    cone_from_generators,
+    face_fan_closure,
+    fan_minimal_cone,
+    fan_validate,
+    relint_contains,
+    subfan,
+)
 from torf.complexes import (
     complex_from_monoid_subfan,
     full_complex,
+    is_seminormal_complex,
     support_box,
     wn_complex,
 )
@@ -316,3 +326,39 @@ class TestHdiffGeneral:
         dims = hdiff_general(fx.complex, 1, 2)
         assert (1, 0) not in dims
         assert dims[(2, 0)] == 1
+
+
+class TestNoMemberSearchAfterTheVerdict:
+    """Once the memoized seminormality verdict is in, the de Rham layer reads
+    the lattice family: no membership search and no realized complex."""
+
+    @pytest.mark.parametrize(
+        "name", [n for n in fixture_names() if is_seminormal_complex(fixture(n).complex)])
+    def test_fixture(self, name, monkeypatch):
+        fx = fixture(name)
+        x = fx.complex
+        assert is_seminormal_complex(x)
+        degrees = list(support_box(x, 2))
+        pairs = list(fx.pairs.values()) + [subfan(x.fan, [fan_minimal_cone(x.fan)])]
+
+        def refuse(*_args):
+            raise AssertionError("membership search or realization after the verdict")
+
+        for module, attr in ((torf.monoids, "member"), (torf.complexes, "member"),
+                             (torf.monoids, "from_strata"), (torf.complexes, "from_strata"),
+                             (torf.complexes, "complex_validate")):
+            monkeypatch.setattr(module, attr, refuse)
+        for theoretical in (False, True):
+            assert betti(x, box_bound=3, theoretical=theoretical).dims[0] == 1
+            for sub in pairs:
+                betti(x, pair_subfan=sub, box_bound=3, theoretical=theoretical)
+        for sub in pairs:
+            pair_dims(x, sub, 1, 3)
+        assert hdiff_general(x, 0, 2) == dict.fromkeys(degrees, 1)
+        for m in degrees:
+            assert len(alpha(x, m)) == fiber_space(x, m).dim
+        mapping = {m: (1,) * comb(fiber_space(x, m).dim, 1) for m in degrees[-4:]}
+        w = make_form(x, 1, mapping)
+        differential(x, w)
+        for mp in degrees[:4]:
+            module_action(x, mp, w)
