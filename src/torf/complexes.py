@@ -36,6 +36,7 @@ from .monoids import (
     Characteristic,
     StratifiedMonoid,
     box_points,
+    check_family,
     cone_lattice_generators,
     face_restriction,
     from_strata,
@@ -104,16 +105,21 @@ def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
     return MonoidalComplex(n, fan, assignment)
 
 
-def full_complex(fan: Fan) -> MonoidalComplex:
-    """Assign every cone its saturated monoid of lattice points: the Hilbert
-    basis of a face is the Hilbert basis of a facet above it inside the face."""
+def _from_facets(fan: Fan, generators_of) -> MonoidalComplex:
+    """The complex giving each facet f the monoid on generators_of(f), and each
+    face the generators inside it of the first facet above it; validated."""
     n = fan.ambient_rank
     table = {}
     for f in fan.facets:
-        gens = cone_lattice_generators(f)
+        gens = generators_of(f)
         for c in faces(f):
             table.setdefault(c, AffineMonoid.make(n, [g for g in gens if c.contains(g)]))
     return complex_validate(n, fan, table)
+
+
+def full_complex(fan: Fan) -> MonoidalComplex:
+    """Every cone with its saturated monoid: a facet's Hilbert basis, in the cone."""
+    return _from_facets(fan, cone_lattice_generators)
 
 
 def complex_from_monoid_subfan(s: AffineMonoid, subfan: Fan) -> MonoidalComplex:
@@ -122,8 +128,7 @@ def complex_from_monoid_subfan(s: AffineMonoid, subfan: Fan) -> MonoidalComplex:
     for c in subfan:
         if not is_face_of(c, big):
             raise NotASubfan(f"cone {c} is not a face of the monoid cone")
-    table = {c: face_restriction(s, c) for c in subfan}
-    return complex_validate(s.ambient_rank, subfan, table)
+    return _from_facets(subfan, lambda f: face_restriction(s, f).generators)
 
 
 def support_locate(x: MonoidalComplex, m):
@@ -281,15 +286,14 @@ def classify(x: MonoidalComplex):
 
 
 def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
-    """Inverse of classify on seminormal complexes: realize the family via the
-    stratified monoids of each cone and extract generators.
-
-    The coverage, span, rank and nesting conditions on the family are checked
-    by `StratifiedMonoid.make`, cone by cone.  The realized complex failing
-    validation is a broken postcondition, not bad input: an AssertionError."""
-    table = {c: from_strata(StratifiedMonoid.make(c, family)) for c in fan}
+    """Inverse of classify on seminormal complexes: `check_family` checks the
+    family once, then each facet's stratified monoid is realized and its faces
+    take its generators.  The realized complex failing validation is a broken
+    postcondition, not bad input: an AssertionError."""
+    check_family(fan, family)
     try:
-        return complex_validate(fan.ambient_rank, fan, table)
+        return _from_facets(fan, lambda f: from_strata(
+            StratifiedMonoid(f, tuple((c, family[c]) for c in faces(f)))).generators)
     except TorfError as e:
         raise AssertionError(f"computed complex fails validation: {e}") from e
 

@@ -153,9 +153,6 @@ class Cone:
         """Integer vectors generating the cone: rays plus +-lineality basis."""
         return list(self.rays) + _pm(self.lin_basis)
 
-    def span_lattice(self) -> Sublattice:
-        return saturate(Sublattice.from_generators(self.ambient_rank, self.generators))
-
     def contains(self, v) -> bool:
         if len(v) != self.ambient_rank:
             raise DimensionMismatch("vector length does not match ambient rank")

@@ -291,6 +291,24 @@ def saturation(s: AffineMonoid) -> AffineMonoid:
 # stratified monoids (face-indexed sublattice families)
 
 
+def check_family(cones, lattice_of):
+    """Check a lattice family on face-closed cones in canonical order: each c
+    has a stratum of rank dim c in span c containing its facets' strata (as
+    nesting is transitive, this is nesting along all faces).  The first failure
+    raises BadLatticeFamily at (c, c), or at (f, c) for an unnested facet f."""
+    for c in cones:
+        lat = lattice_of.get(c)
+        if lat is None:
+            raise BadLatticeFamily(c, c, "strata must cover every face")
+        if any(vec_dot(e, b) for e in c.eqs for b in lat.basis_vectors()):
+            raise BadLatticeFamily(c, c, "stratum not inside the face span")
+        if lat.rank != c.dim:
+            raise BadLatticeFamily(c, c, "stratum does not have finite index")
+        for f in faces(c):
+            if f.dim == c.dim - 1 and not lattice_contains(lat, lattice_of[f]):
+                raise BadLatticeFamily(f, c, "strata are not nested along faces")
+
+
 @value(frozen=True)
 class StratifiedMonoid:
     """Cone plus one sublattice per face; realizes the disjoint union of each
@@ -301,24 +319,9 @@ class StratifiedMonoid:
 
     @staticmethod
     def make(cone: Cone, lattice_of):
-        for f in faces(cone):
-            if f not in lattice_of:
-                raise BadLatticeFamily(f, cone, "strata must cover every face")
-        sm = StratifiedMonoid(cone, tuple((f, lattice_of[f]) for f in faces(cone)))
-        sm._validate()
-        return sm
-
-    def _validate(self):
-        table = self._table
-        for f, lat in table.items():
-            span = f.span_lattice()
-            if not lattice_contains(span, lat):
-                raise BadLatticeFamily(f, self.cone, "stratum not inside the face span")
-            if lat.rank != f.dim:
-                raise BadLatticeFamily(f, self.cone, "stratum does not have finite index")
-        for f1, f2 in itertools.product(table, table):
-            if f1 != f2 and is_face_of(f1, f2) and not lattice_contains(table[f2], table[f1]):
-                raise BadLatticeFamily(f1, f2, "strata are not nested along faces")
+        """Stratum lattice_of[f] on each face f of the cone, by `check_family`."""
+        check_family(faces(cone), lattice_of)
+        return StratifiedMonoid(cone, tuple((f, lattice_of[f]) for f in faces(cone)))
 
     @cached_property
     def _table(self):

@@ -5,7 +5,10 @@ code does not use them.
 normals and equations.  `generates_by_dd`, `face_from_scratch` and
 `saturated_by_cone` are the constructions that reading a cone's stored form
 replaced: a double description of every generator set, both sides of every
-face canonicalized, and one Hilbert basis per cone.
+face canonicalized, and one Hilbert basis per cone.  `span_lattice`,
+`family_ok` and `realize_cone_by_cone` are the saturated span of a cone, the
+lattice-family check on every ordered pair of faces and the realization that
+extracts generators on every cone.
 """
 
 import itertools
@@ -23,9 +26,18 @@ from torf.cones import (
     relint_point,
 )
 from torf.errors import DimensionMismatch
-from torf.linalg import Sublattice, vec_add, vec_dot, vec_is_zero, vec_neg
+from torf.linalg import (
+    Sublattice,
+    lattice_contains,
+    saturate,
+    vec_add,
+    vec_dot,
+    vec_is_zero,
+    vec_neg,
+)
 from torf.monoids import (
     AffineMonoid,
+    StratifiedMonoid,
     _parallelepiped_points,
     cone_lattice_generators,
     from_strata,
@@ -191,3 +203,26 @@ def face_from_scratch(c: Cone, rays) -> Cone:
 def saturated_by_cone(fan):
     """Every cone of the fan with its own saturated monoid."""
     return {c: AffineMonoid.make(fan.ambient_rank, cone_lattice_generators(c)) for c in fan}
+
+
+def span_lattice(c: Cone) -> Sublattice:
+    """Z^n intersect span c, by saturating the cone's generators."""
+    return saturate(Sublattice.from_generators(c.ambient_rank, c.generators))
+
+
+def family_ok(cones, lattice_of) -> bool:
+    """Whether the lattice family on the face-closed `cones` is valid: every
+    cone has a stratum of rank dim c inside `span_lattice(c)`, and the strata
+    are nested on every ordered pair of a face and a cone."""
+    for c in cones:
+        lat = lattice_of.get(c)
+        if lat is None or not lattice_contains(span_lattice(c), lat) or lat.rank != c.dim:
+            return False
+    return not any(f1 != f2 and is_face_of(f1, f2)
+                   and not lattice_contains(lattice_of[f2], lattice_of[f1])
+                   for f1, f2 in itertools.product(cones, cones))
+
+
+def realize_cone_by_cone(fan, family):
+    """Every cone of the fan with the monoid extracted from its own strata."""
+    return {c: from_strata(StratifiedMonoid.make(c, family)) for c in fan}

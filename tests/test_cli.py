@@ -84,6 +84,23 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["results"]["error"] == "BadLatticeFamily"
 
+    def test_stratum_of_wrong_rank_reported_on_its_face(self, capsys, tmp_path):
+        strata = [{"face": [], "basis": []}, {"face": [["1", "0"]], "basis": []},
+                  {"face": [["0", "1"]], "basis": [["0", "1"]]},
+                  {"face": [["1", "0"], ["0", "1"]], "basis": [["1", "0"], ["0", "1"]]}]
+        doc = {
+            "schema": SCHEMA, "ambient_rank": "2", "cones": {"q": [["1", "0"], ["0", "1"]]},
+            "fan": {"face_closure_of": ["q"]}, "monoids": {"q": {"strata": strata}},
+        }
+        path = write_model(tmp_path, doc)
+        code, out, _err = run(capsys, "validate", path)
+        assert code == 2
+        assert out == ("torf validate\ninvalid: BadLatticeFamily: invalid lattice family at"
+                       " cone[(1, 0)] < cone[(1, 0)]: stratum does not have finite index\n")
+        code, out, _err = run(capsys, "validate", path, "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["results"]["error"] == "BadLatticeFamily"
+
     @pytest.mark.parametrize("face,basis,needle", [
         ([["-1"]], [["5"]], "stratum face [[-1]] of cone 'a' is not a face of it"),
         ([["1"]], [["3"]], "stratum face [[1]] of cone 'a' is given twice"),

@@ -27,6 +27,7 @@ from torf.cones import (
 )
 from torf.complexes import (
     RingElem,
+    _wn_family,
     classify,
     complex_from_lattice_family,
     complex_from_monoid_subfan,
@@ -67,12 +68,19 @@ from torf.monoids import (
     AffineMonoid,
     Characteristic,
     box_points,
+    face_restriction,
     member,
     monoid_cone,
     monoid_equal,
 )
 
-from reference import is_weakly_normal_facetwise, normalize_cone_by_cone, saturated_by_cone
+from reference import (
+    is_weakly_normal_facetwise,
+    normalize_cone_by_cone,
+    realize_cone_by_cone,
+    saturated_by_cone,
+    span_lattice,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
@@ -289,10 +297,10 @@ class TestNormalization:
 
 
 @st.composite
-def monoid_complexes(draw):
-    """A random monoid of rank 1 or 2 over its face fan, over the boundary of
-    its cone or over one facet of its cone.  Generators are multiples k v of a
-    few small v, so that gaps (non-seminormal monoids) occur."""
+def monoid_subfans(draw):
+    """A random monoid of rank 1 or 2 with its face fan, the boundary of its
+    cone or one facet of its cone.  Generators are multiples k v of a few
+    small v, so that gaps (non-seminormal monoids) occur."""
     n = draw(st.integers(1, 2))
     vectors = st.tuples(*[st.integers(-1, 3)] * n).filter(any)
     pool = draw(st.lists(vectors, min_size=1, max_size=3))
@@ -302,7 +310,12 @@ def monoid_complexes(draw):
     c = monoid_cone(s)
     boundary = [f for f in faces(c)[1:] if f.dim == c.dim - 1]
     tops = draw(st.sampled_from([boundary or [c], [c], boundary[:1] or [c]]))
-    return complex_from_monoid_subfan(s, face_fan_closure(n, tops))
+    return s, face_fan_closure(n, tops)
+
+
+def monoid_complexes():
+    """The monoid of `monoid_subfans` restricted to its subfan."""
+    return monoid_subfans().map(lambda sf: complex_from_monoid_subfan(*sf))
 
 
 def same_monoids(x, table):
@@ -340,6 +353,43 @@ class TestNormalizationThroughFamily:
         assert classify(y) == family
         if is_seminormal_complex(x):
             assert same_monoids(y, dict(x.assignment))
+
+
+def generator_tuples(table):
+    return {c: s.generators for c, s in dict(table).items()}
+
+
+class TestAssemblyFromFacets:
+    """The constructors give each facet its monoid and each face the facet's
+    generators inside it.  The references build every cone's monoid on its
+    own: extracted from its own strata, or restricted from the monoid."""
+
+    @PROPERTY
+    @given(monoid_complexes())
+    def test_normalizations_match_cone_by_cone(self, x):
+        want = realize_cone_by_cone(x.fan, classify(x))
+        assert generator_tuples(sn_complex(x).assignment) == generator_tuples(want)
+        for p in (2, 3):
+            char = Characteristic(p)
+            want = realize_cone_by_cone(x.fan, _wn_family(classify(x), char))
+            assert generator_tuples(wn_complex(x, char).assignment) == generator_tuples(want)
+
+    @PROPERTY
+    @given(monoid_subfans())
+    def test_subfan_matches_face_restriction(self, sf):
+        s, fan = sf
+        x = complex_from_monoid_subfan(s, fan)
+        assert dict(x.assignment) == {c: face_restriction(s, c) for c in fan}
+
+    @PROPERTY
+    @given(monoid_complexes())
+    def test_strata_realized_on_facets_only(self, x):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = torf.complexes.from_strata
+            mp.setattr(torf.complexes, "from_strata", lambda sm: calls.append(sm.cone) or real(sm))
+            complex_from_lattice_family(x.fan, classify(x))
+        assert calls == list(x.fan.facets)
 
 
 def koszul_betti(x, box, pair=()):
@@ -444,6 +494,16 @@ class TestClassification:
         }
         with pytest.raises(BadLatticeFamily):
             complex_from_lattice_family(face_fan_closure(2, [QUAD]), fam)
+
+    def test_off_cover_pair_reported_on_its_facet(self):
+        # only the top stratum is coarse, and only along e1: the ray e1 is not
+        # nested in it, but the first facet of the top cone is reported
+        top = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        fam = {c: span_lattice(c) for c in faces(top)}
+        fam[top] = Sublattice.from_generators(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(BadLatticeFamily) as exc:
+            complex_from_lattice_family(face_fan_closure(3, [top]), fam)
+        assert (str(exc.value.face), exc.value.cone) == ("cone[(0, 0, 1); (1, 0, 0)]", top)
 
     def test_infinite_index_rejected(self):
         fam = {

@@ -9,7 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from torf.errors import BadLatticeFamily, NotFiniteExtension
 from torf.cones import cone_from_generators, faces
-from torf.linalg import Sublattice, lattice_index, member_lattice, saturate, vec_neg
+from torf.linalg import (
+    Sublattice,
+    lattice_contains,
+    lattice_index,
+    member_lattice,
+    saturate,
+    vec_add,
+    vec_dot,
+    vec_neg,
+)
 from torf.monoids import (
     _MR_LIMIT,
     AffineMonoid,
@@ -17,6 +26,7 @@ from torf.monoids import (
     StratifiedMonoid,
     box_points,
     _is_prime,
+    check_family,
     cone_lattice_generators,
     face_restriction,
     from_strata,
@@ -36,11 +46,14 @@ from torf.monoids import (
 from reference import (
     coset_reps,
     facet_values,
+    family_ok,
     generates_by_dd,
     hilbert_basis_brute,
     minors_gcd,
     sn_member_oracle,
+    span_lattice,
 )
+from test_complexes import monoid_complexes
 
 PINCH = AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)])
 NSG23 = AffineMonoid.make(1, [(2,), (3,)])
@@ -268,6 +281,26 @@ class TestStratify:
             StratifiedMonoid.make(quad, lattices)
         assert (exc.value.face, exc.value.cone) == (yray, quad)
 
+    def test_off_cover_pair_reported_on_its_facet(self):
+        # only the top stratum is coarse, and only along e1: the ray e1 is not
+        # nested in it, but the first facet of the top cone is reported
+        top = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        lattices = {c: span_lattice(c) for c in faces(top)}
+        lattices[top] = Sublattice.from_generators(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(BadLatticeFamily) as exc:
+            StratifiedMonoid.make(top, lattices)
+        assert (str(exc.value.face), exc.value.cone) == ("cone[(0, 0, 1); (1, 0, 0)]", top)
+
+    def test_bad_stratum_reported_on_its_own_face(self):
+        quad = cone_from_generators(2, [(1, 0), (0, 1)])
+        lattices = {c: span_lattice(c) for c in faces(quad)}
+        xray = faces(quad)[2]
+        for bad in (Sublattice.zero(2), Sublattice.from_generators(2, [(1, 1)])):
+            lattices[xray] = bad
+            with pytest.raises(BadLatticeFamily) as exc:
+                StratifiedMonoid.make(quad, lattices)
+            assert (exc.value.face, exc.value.cone) == (xray, xray)
+
     def test_roundtrip_from_strata(self):
         for s in (PINCH, NSG23, NN):
             st = stratify(s)
@@ -276,6 +309,58 @@ class TestStratify:
             n = s.ambient_rank
             for v in box_points(n, 6):
                 assert member(back, v) == st.member(v)
+
+
+@st.composite
+def lattice_families(draw):
+    """Face-closed cones, those of an orthant of rank at most 3 or the fan of
+    a `monoid_complexes` complex, in canonical order, each with a random
+    diagonal multiple of its saturated span lattice as its stratum.  A
+    stratum is sometimes left out, of too small a rank or off its span."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        cones = list(faces(cone_from_generators(n, [tuple(int(i == j) for j in range(n))
+                                                     for i in range(n)])))
+    else:
+        fan = draw(monoid_complexes()).fan
+        n, cones = fan.ambient_rank, list(fan)
+    family = {}
+    for c in cones:
+        basis = span_lattice(c).basis_vectors()
+        vectors = [tuple(draw(st.integers(1, 3)) * x for x in b) for b in basis]
+        flaw = draw(st.sampled_from([None] * 8 + ["missing", "rank", "span"]))
+        off = [e for e in Sublattice.full(n).basis_vectors() if any(vec_dot(q, e) for q in c.eqs)]
+        if flaw == "missing":
+            continue
+        if flaw == "rank" and vectors:
+            vectors.pop()
+        if flaw == "span" and off:
+            vectors = [vec_add(vectors[0], off[0])] + vectors[1:] if vectors else off[:1]
+        family[c] = Sublattice.from_generators(n, vectors)
+    return cones, family
+
+
+class TestCheckFamily:
+    """check_family, on cover relations, against every ordered pair of faces."""
+
+    @settings(PROPERTY, max_examples=200)
+    @given(lattice_families())
+    def test_matches_all_pairs_rule(self, cones_family):
+        cones, family = cones_family
+        try:
+            check_family(cones, family)
+        except BadLatticeFamily as e:
+            assert not family_ok(cones, family)
+            f, c = e.face, e.cone
+            if f == c:
+                lat = family.get(c)
+                assert (lat is None or lat.rank != c.dim
+                        or not lattice_contains(span_lattice(c), lat))
+            else:
+                assert f in faces(c) and f.dim == c.dim - 1
+                assert not lattice_contains(family[c], family[f])
+        else:
+            assert family_ok(cones, family)
 
 
 class TestNormality:
