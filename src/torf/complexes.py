@@ -113,7 +113,8 @@ def _from_facets(fan: Fan, generators_of) -> MonoidalComplex:
     for f in fan.facets:
         gens = generators_of(f)
         for c in faces(f):
-            table.setdefault(c, AffineMonoid.make(n, [g for g in gens if c.contains(g)]))
+            if c not in table:
+                table[c] = AffineMonoid.make(n, [g for g in gens if c.contains(g)])
     return complex_validate(n, fan, table)
 
 
@@ -258,14 +259,16 @@ def sn_complex(x: MonoidalComplex) -> MonoidalComplex:
     return complex_from_lattice_family(x.fan, classify(x))
 
 
-def _wn_family(family, char: Characteristic):
-    """The lattice family of the weak normalization over a `classify` family."""
-    return {c: wn_lattice(lat, char.p) for c, lat in family.items()}
+@lru_cache(maxsize=None)
+def _wn_family(x: MonoidalComplex, char: Characteristic):
+    """The lattice family of the weak normalization of x (read only: memoized,
+    so that a complex and its verdict p-saturate each stratum once)."""
+    return {c: wn_lattice(lat, char.p) for c, lat in classify(x).items()}
 
 
 def wn_complex(x: MonoidalComplex, char: Characteristic) -> MonoidalComplex:
     """Weak normalization: the complex that realizes the p-saturated family."""
-    return complex_from_lattice_family(x.fan, _wn_family(classify(x), char))
+    return complex_from_lattice_family(x.fan, _wn_family(x, char))
 
 
 @lru_cache(maxsize=None)
@@ -276,8 +279,7 @@ def is_seminormal_complex(x: MonoidalComplex) -> bool:
 
 def is_weakly_normal_complex(x: MonoidalComplex, char: Characteristic) -> bool:
     """Seminormal, and every lattice of the family is its own p-saturation."""
-    family = classify(x)
-    return is_seminormal_complex(x) and _wn_family(family, char) == family
+    return is_seminormal_complex(x) and _wn_family(x, char) == classify(x)
 
 
 def classify(x: MonoidalComplex):

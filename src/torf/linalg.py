@@ -140,32 +140,24 @@ class IntMatrix:
         return tuple(vec_dot(self.row(i), v) for i in range(self.rows))
 
 
+def _colswap(rows, a, b):
+    """Swap columns a and b in each of the row lists `rows`."""
+    for r in rows:
+        r[a], r[b] = r[b], r[a]
+
+
+def _coladd(rows, dst, src, q):
+    """Column dst += q * column src in each of the row lists `rows`."""
+    for r in rows:
+        r[dst] += q * r[src]
+
+
 def _hnf_in_place(mat, trans):
     """Column HNF by integer column operations, mirrored on `trans`."""
-    nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-
-    def colswap(a, b):
-        for r in mat:
-            r[a], r[b] = r[b], r[a]
-        for r in trans:
-            r[a], r[b] = r[b], r[a]
-
-    def coladd(dst, src, q):
-        # column dst += q * column src
-        for r in mat:
-            r[dst] += q * r[src]
-        for r in trans:
-            r[dst] += q * r[src]
-
-    def colneg(j):
-        for r in mat:
-            r[j] = -r[j]
-        for r in trans:
-            r[j] = -r[j]
-
+    rows = mat + trans
     c = 0
-    for i in range(nrows):
+    for i in range(len(mat)):
         if c >= ncols:
             break
         # gcd-reduce row i across columns >= c
@@ -175,24 +167,25 @@ def _hnf_in_place(mat, trans):
                 break
             jmin = min(nz, key=lambda j: abs(mat[i][j]))
             if jmin != c:
-                colswap(c, jmin)
+                _colswap(rows, c, jmin)
             done = True
             for j in range(c + 1, ncols):
                 if mat[i][j] != 0:
                     q = mat[i][j] // mat[i][c]
-                    coladd(j, c, -q)
+                    _coladd(rows, j, c, -q)
                     if mat[i][j] != 0:
                         done = False
             if done:
                 break
         if c < ncols and mat[i][c] != 0:
             if mat[i][c] < 0:
-                colneg(c)
+                for r in rows:
+                    r[c] = -r[c]
             piv = mat[i][c]
             for j in range(c):
                 q = mat[i][j] // piv  # floor division: leaves residue in [0, piv)
                 if q:
-                    coladd(j, c, -q)
+                    _coladd(rows, j, c, -q)
             c += 1
 
 
@@ -201,11 +194,7 @@ def hnf(a: IntMatrix):
     mat = a.row_list()
     trans = IntMatrix.identity(a.cols).row_list()
     _hnf_in_place(mat, trans)
-    h = IntMatrix.from_rows(mat) if mat else IntMatrix(0, a.cols, ())
-    u = IntMatrix.from_rows(trans) if trans else IntMatrix(0, 0, ())
-    if a.rows == 0:
-        h = IntMatrix(0, a.cols, ())
-    return h, u
+    return IntMatrix.from_rows(mat, a.cols), IntMatrix.from_rows(trans, a.cols)
 
 
 def snf(a: IntMatrix):
@@ -216,29 +205,9 @@ def snf(a: IntMatrix):
     u = IntMatrix.identity(nrows).row_list()
     v = IntMatrix.identity(ncols).row_list()
 
-    def rowswap(x, y):
-        m[x], m[y] = m[y], m[x]
-        u[x], u[y] = u[y], u[x]
-
-    def rowadd(dst, src, q):
+    def rowadd(dst, src, q):  # rebinds rows of m, so column operations take m + v afresh
         m[dst] = list(map(add, m[dst], map(mul, repeat(q), m[src])))
         u[dst] = list(map(add, u[dst], map(mul, repeat(q), u[src])))
-
-    def colswap(x, y):
-        for r in m:
-            r[x], r[y] = r[y], r[x]
-        for r in v:
-            r[x], r[y] = r[y], r[x]
-
-    def coladd(dst, src, q):
-        for r in m:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def rowneg(x):
-        m[x] = [-e for e in m[x]]
-        u[x] = [-e for e in u[x]]
 
     t = 0
     while t < min(nrows, ncols):
@@ -251,8 +220,9 @@ def snf(a: IntMatrix):
         if best is None:
             break
         i, j = best
-        rowswap(t, i)
-        colswap(t, j)
+        m[t], m[i] = m[i], m[t]
+        u[t], u[i] = u[i], u[t]
+        _colswap(m + v, t, j)
         # clear row t and column t
         dirty = False
         for i in range(t + 1, nrows):
@@ -264,7 +234,7 @@ def snf(a: IntMatrix):
         for j in range(t + 1, ncols):
             if m[t][j] != 0:
                 q = m[t][j] // m[t][t]
-                coladd(j, t, -q)
+                _coladd(m + v, j, t, -q)
                 if m[t][j] != 0:
                     dirty = True
         if dirty:
@@ -283,65 +253,51 @@ def snf(a: IntMatrix):
         if not fixed:
             continue
         if piv < 0:
-            rowneg(t)
+            m[t] = [-e for e in m[t]]
+            u[t] = [-e for e in u[t]]
         t += 1
-    d = IntMatrix.from_rows(m) if m else IntMatrix(0, ncols, ())
-    return d, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+    return IntMatrix.from_rows(m, ncols), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+
+
+def _bareiss(a: IntMatrix):
+    """Fraction-free (Bareiss) row elimination of `a`.  Returns its rank, the
+    sign of the row swaps and the last pivot; for a nonsingular square matrix
+    the sign times the last pivot is the determinant."""
+    m = a.row_list()
+    nrows, ncols = a.rows, a.cols
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top, p = m[r], m[r][c]
+        for row in m[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+        r += 1
+    return r, sign, prev
 
 
 def rank(a: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
-    m = a.row_list()
-    nrows, ncols = a.rows, a.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over the rationals."""
+    return _bareiss(a)[0]
 
 
 def det(a: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
+    """Exact determinant of a square integer matrix."""
     if a.rows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.row_list()
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+    r, sign, last = _bareiss(a)
+    return sign * last if r == a.rows else 0
 
 
 def solve_integer(b: IntMatrix, v):

@@ -470,22 +470,11 @@ def is_weakly_normal(s: AffineMonoid, char: Characteristic) -> bool:
 
 
 def _lattice_intersection(a: Sublattice, b: Sublattice) -> Sublattice:
-    n = a.ambient_rank
-    if a.rank == 0 or b.rank == 0:
-        return Sublattice.zero(n)
-    cols_a = a.basis_vectors()
-    cols_b = [vec_neg(v) for v in b.basis_vectors()]
-    stacked = IntMatrix.from_cols(
-        [tuple(v) for v in cols_a] + [tuple(v) for v in cols_b], nrows=n
-    )
-    ker = kernel_cols(stacked)
-    gens = []
-    for j in range(ker.cols):
-        coeffs = ker.col(j)[: a.rank]
-        gens.append(
-            tuple(sum(coeffs[i] * cols_a[i][r] for i in range(a.rank)) for r in range(n))
-        )
-    return Sublattice.from_generators(n, gens)
+    """a ∩ b: each kernel vector (x, y) of [A | -B] gives A x = B y."""
+    stacked = IntMatrix.from_cols(a.basis_vectors() + [vec_neg(v) for v in b.basis_vectors()],
+                                  nrows=a.ambient_rank)
+    return Sublattice.from_generators(
+        a.ambient_rank, [a.basis.mul_vec(k[:a.rank]) for k in kernel_cols(stacked).col_list()])
 
 
 def _relative_precheck(s: AffineMonoid, sp: AffineMonoid):

@@ -371,7 +371,7 @@ class TestAssemblyFromFacets:
         assert generator_tuples(sn_complex(x).assignment) == generator_tuples(want)
         for p in (2, 3):
             char = Characteristic(p)
-            want = realize_cone_by_cone(x.fan, _wn_family(classify(x), char))
+            want = realize_cone_by_cone(x.fan, _wn_family(x, char))
             assert generator_tuples(wn_complex(x, char).assignment) == generator_tuples(want)
 
     @PROPERTY

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from torf.errors import NotASublattice
+from torf.errors import DimensionMismatch, NotASublattice
 from torf.linalg import (
     IntMatrix,
     Sublattice,
@@ -94,6 +94,38 @@ class TestSNF:
                 if y != 0:
                     assert x != 0 and y % x == 0
 
+    # Cone._projector reads canonical rays modulo the lineality off the U of
+    # snf(basis), so the transforms are pinned, not only D: saturated column
+    # HNF bases of rank 1-3 in Z^3 and Z^4, and two non-saturated bases.
+    @pytest.mark.parametrize("basis, d, u, v", [
+        ([[2], [-1], [3]], [[1], [0], [0]],
+         [[0, -1, 0], [1, 2, 0], [0, 3, 1]], [[1]]),
+        ([[1, 0], [0, 1], [-2, 3]], [[1, 0], [0, 1], [0, 0]],
+         [[1, 0, 0], [0, 1, 0], [2, -3, 1]], [[1, 0], [0, 1]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[0], [3], [1], [-2]], [[1], [0], [0], [0]],
+         [[0, 0, 1, 0], [0, 1, -3, 0], [1, 0, 0, 0], [0, 0, 2, 1]], [[1]]),
+        ([[0, 0], [1, 0], [2, 3], [0, 1]], [[1, 0], [0, 1], [0, 0], [0, 0]],
+         [[0, 1, 0, 0], [0, 0, 0, 1], [0, -2, 1, -3], [1, 0, 0, 0]], [[1, 0], [0, 1]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [3, -3, 5]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-3, 3, -5, 1]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[2, 0], [1, 3], [0, 6]], [[1, 0], [0, 6], [0, 0]],
+         [[0, 1, 0], [-1, 2, 0], [1, -2, 1]], [[1, -3], [0, 1]]),
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 1], [0, -2, 2]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 2], [0, 0, 0]],
+         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 1, -2, 1]],
+         [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    ])
+    def test_transforms_pinned(self, basis, d, u, v):
+        a = IntMatrix.from_rows(basis)
+        assert Sublattice.from_generators(a.rows, a.col_list()).basis == a
+        got = snf(a)
+        assert got == (IntMatrix.from_rows(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v))
+        assert got[1].mul(a).mul(got[2]) == got[0]
+
 
 class TestRankDet:
     def test_rank_vs_snf(self):
@@ -112,6 +144,34 @@ class TestRankDet:
             a = random_matrix(rng, 3, 3)
             b = random_matrix(rng, 3, 3)
             assert det(a.mul(b)) == det(a) * det(b)
+
+    def test_against_sympy(self):
+        """Every shape up to 5 x 5 with the 0 x 0 matrix, dependent rows, and
+        zero leading entries that force row swaps (signs matter: a det that
+        dropped them, or returned |det|, fails)."""
+        rng = random.Random(18)
+        cases = [IntMatrix(0, 0, ()), IntMatrix(0, 3, ()), IntMatrix(3, 0, ()),
+                 IntMatrix.from_rows([[0, 1], [1, 0]]),
+                 IntMatrix.from_rows([[0, 0, 2], [0, 3, 1], [5, 1, 1]]),
+                 IntMatrix.from_rows([[0, 2, 1], [0, 4, 2], [1, 1, 1]])]
+        for _ in range(400):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+            m = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(cols)]
+                 for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.3:
+                m[-1] = [x * rng.randint(-2, 2) + y for x, y in zip(m[0], m[1])]
+            cases.append(IntMatrix.from_rows(m, cols))
+        swapped = 0
+        for a in cases:
+            ref = sympy.Matrix(a.rows, a.cols, list(a.entries))
+            assert rank(a) == ref.rank()
+            if a.rows == a.cols:
+                assert det(a) == ref.det()
+                swapped += a.rows > 1 and a.entry(0, 0) == 0 and ref.det() != 0
+            else:
+                with pytest.raises(DimensionMismatch):
+                    det(a)
+        assert swapped >= 5
 
 
 class TestSolveKernel:

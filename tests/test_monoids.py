@@ -1,5 +1,6 @@
 """Affine monoids: membership, saturation, normalizations, classification."""
 
+import itertools
 import random
 import time
 
@@ -21,6 +22,7 @@ from torf.linalg import (
 )
 from torf.monoids import (
     _MR_LIMIT,
+    _lattice_intersection,
     AffineMonoid,
     Characteristic,
     StratifiedMonoid,
@@ -479,6 +481,36 @@ class TestLatticeHelpers:
             for b in reps[i + 1:]:
                 diff = tuple(x - y for x, y in zip(a, b))
                 assert not member_lattice(sub, diff)
+
+
+@st.composite
+def sublattice_pairs(draw):
+    n = draw(st.integers(2, 3))
+    vecs = st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=n)
+    return tuple(Sublattice.from_generators(n, draw(vecs)) for _ in range(2))
+
+
+class TestLatticeIntersection:
+    @PROPERTY
+    @given(sublattice_pairs())
+    def test_box_points_in_both(self, ab):
+        a, b = ab
+        n = a.ambient_rank
+        meet = _lattice_intersection(a, b)
+        assert lattice_contains(a, meet) and lattice_contains(b, meet)
+        joint = Sublattice.from_generators(n, a.basis_vectors() + b.basis_vectors())
+        assert meet.rank == a.rank + b.rank - joint.rank
+        for v in itertools.product(range(-6, 7), repeat=n):
+            assert member_lattice(meet, v) == (member_lattice(a, v) and member_lattice(b, v))
+
+    def test_examples(self):
+        zero = Sublattice.zero(3)
+        b = Sublattice.from_generators(3, [(1, 2, 0), (0, 0, 3)])
+        for x, y in ((zero, b), (b, zero), (zero, zero)):
+            assert _lattice_intersection(x, y) == zero
+        assert _lattice_intersection(Sublattice.from_generators(2, [(2, 0)]),
+                                     Sublattice.from_generators(2, [(3, 0), (0, 1)])) \
+            == Sublattice.from_generators(2, [(6, 0)])
 
 
 @st.composite
