@@ -8,12 +8,16 @@ deterministic report.  Exit codes: 0 success, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 
-from .errors import ParseError, TorfError, UnknownFixture
+try:  # the interpreter's own SHA-256, as hashlib's would map OpenSSL's libcrypto
+    sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:
+    from hashlib import sha256
+
+from .errors import ParseError, TorfError, UnknownFixture, WorkTooLarge
 from .cones import cone_from_generators, faces
 from .complexes import (
     classify,
@@ -87,7 +91,7 @@ def _load(path, rep):
                 text = f.read()
         except OSError as e:
             raise ParseError(f"cannot read {path}: {e}") from None
-    rep.digest = hashlib.sha256(text.encode()).hexdigest()
+    rep.digest = sha256(text.encode()).hexdigest()
     return parse_model(text)
 
 
@@ -168,7 +172,7 @@ def cmd_validate(args, rep):
     doc = _load(args.file, rep)
     try:
         x, pairs = build_complex(doc)
-    except ParseError:  # a model error found while building, e.g. two monoids on one cone
+    except (ParseError, WorkTooLarge):  # a model error (e.g. two monoids on one cone), a refusal
         raise
     except TorfError as e:
         rep.results["valid"] = False
@@ -362,7 +366,7 @@ def main(argv=None):
     rep = Report(args.command)
     try:
         code = _COMMANDS[args.command](args, rep)
-    except (ParseError, UnknownFixture) as e:
+    except (ParseError, UnknownFixture, WorkTooLarge) as e:
         sys.stderr.write(f"torf: {e}\n")
         return EXIT_USAGE
     except AssertionError as e:

@@ -24,11 +24,11 @@ from .cones import (
     Fan,
     cone_difference,
     face_fan_closure,
+    fan_locate,
     fan_minimal_cone,
     fan_validate,
     faces,
     is_face_of,
-    locate,
 )
 from .linalg import vec_add, vec_neg
 from .monoids import (
@@ -136,7 +136,7 @@ def support_locate(x: MonoidalComplex, m):
     """The unique fan cone with m in its relative interior and m in its monoid,
     or None when m is outside the support."""
     m = tuple(int(v) for v in m)
-    f = next((f for f in (locate(c, m) for c in x.fan.facets) if f is not None), None)
+    f = fan_locate(x.fan, m)
     return f if f is not None and member(x.monoid_of(f), m) else None
 
 

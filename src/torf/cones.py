@@ -21,7 +21,7 @@ a face keeps its cone's rays and lineality and reduces only its covectors.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import (
     BadIntersection,
@@ -238,11 +238,22 @@ def locate(c: Cone, m):
     c on which every facet normal that vanishes at m also vanishes."""
     if len(m) != c.ambient_rank:
         raise DimensionMismatch("vector length does not match ambient rank")
-    values = [vec_dot(a, m) for a in c.ineqs]
-    if any(v < 0 for v in values) or any(vec_dot(e, m) for e in c.eqs):
+    zero = []
+    for a in c.ineqs:
+        v = vec_dot(a, m)
+        if v < 0:
+            return None
+        if not v:
+            zero.append(a)
+    if any(vec_dot(e, m) for e in c.eqs):
         return None
-    zero = [a for a, v in zip(c.ineqs, values) if v == 0]
     return c._face_of_rays[tuple(r for r in c.rays if not any(vec_dot(a, r) for a in zero))]
+
+
+def fan_locate(fan: Fan, m):
+    """The cone of the fan holding m in its relative interior, or None when m
+    is outside the fan's support: `locate` on each facet until one holds m."""
+    return next((f for f in map(locate, fan.facets, repeat(m)) if f is not None), None)
 
 
 def relint_point(c: Cone):

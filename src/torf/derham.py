@@ -17,7 +17,7 @@ from .errors import (
     DegreeNotInSupport,
     NotWeaklyNormal,
 )
-from .cones import Cone, Fan, fan_minimal_cone, is_face_of, locate
+from .cones import Cone, Fan, fan_locate, fan_minimal_cone, is_face_of
 from .complexes import MonoidalComplex, check_subfan, classify, is_seminormal_complex
 from .linalg import IntMatrix, det, lattice_coords, rank, vec_add
 from .monoids import box_points
@@ -79,7 +79,7 @@ def _sn_support(x: MonoidalComplex, degrees):
     family = classify(x)
     located = {}
     for m in degrees:
-        c = next((c for c in (locate(f, m) for f in x.fan.facets) if c is not None), None)
+        c = fan_locate(x.fan, m)
         if c is not None and lattice_coords(family[c], m) is not None:
             located[m] = c
     return located

@@ -83,3 +83,9 @@ class UnknownFixture(TorfError):
 
 class ParseError(TorfError):
     pass
+
+
+class WorkTooLarge(TorfError):
+    def __init__(self, message, estimate):
+        self.estimate = estimate  # the size of the enumeration refused before it started
+        super().__init__(message)

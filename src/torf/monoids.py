@@ -20,11 +20,13 @@ from .errors import (
     DimensionMismatch,
     NotAFace,
     NotFiniteExtension,
+    WorkTooLarge,
 )
 from .cones import Cone, cone_from_generators, faces, is_face_of, locate
 from .linalg import (
     IntMatrix,
     Sublattice,
+    det,
     kernel_cols,
     lattice_contains,
     lattice_coords,
@@ -43,6 +45,7 @@ from .values import value
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
+MAX_PARALLELEPIPED_POINTS = 10**3  # most lattice points one Hilbert basis enumerates
 
 
 def _is_prime(p):
@@ -272,12 +275,17 @@ def cone_lattice_generators(c: Cone):
     (with negatives) for the lineality part, plus the Hilbert basis of the
     pointed part.  This is the saturation of any monoid generating c.  The
     rays lie in a lattice complement of the lineality, so an irreducible
-    element is a ray or lies in the half-open parallelepiped of a simplex."""
+    element is a ray or lies in the half-open parallelepiped of a simplex.
+    WorkTooLarge when those hold more than MAX_PARALLELEPIPED_POINTS points."""
     n = c.ambient_rank
+    cells = [(saturate(Sublattice.from_generators(n, s)), s) for s in map(list, _simplices(c))]
+    points = sum(abs(det(_coords_matrix(span, s))) for span, s in cells)  # one per coset
+    if points > MAX_PARALLELEPIPED_POINTS:
+        raise WorkTooLarge(f"the Hilbert basis of {c} would list {points} parallelepiped"
+                           f" points; the limit is {MAX_PARALLELEPIPED_POINTS}", points)
     candidates = set(c.rays)
-    for simplex in _simplices(c):
-        span = saturate(Sublattice.from_generators(n, list(simplex)))
-        candidates.update(_parallelepiped_points(span, list(simplex)))
+    for span, s in cells:
+        candidates.update(_parallelepiped_points(span, s))
     lineality = Sublattice.from_generators(n, list(c.lin_basis))
     return extract_generators(c, c.contains, lineality, candidates).generators
 

@@ -8,7 +8,8 @@ replaced: a double description of every generator set, both sides of every
 face canonicalized, and one Hilbert basis per cone.  `span_lattice`,
 `family_ok` and `realize_cone_by_cone` are the saturated span of a cone, the
 lattice-family check on every ordered pair of faces and the realization that
-extracts generators on every cone.
+extracts generators on every cone.  `transform_model` moves a model file's
+complex by a linear map of Z^n.
 """
 
 import itertools
@@ -226,3 +227,24 @@ def family_ok(cones, lattice_of) -> bool:
 def realize_cone_by_cone(fan, family):
     """Every cone of the fan with the monoid extracted from its own strata."""
     return {c: from_strata(StratifiedMonoid.make(c, family)) for c in fan}
+
+
+def transform_model(doc, u):
+    """The model document `doc` (as parsed JSON) with every vector v, in its
+    cones, monoid generators and strata, replaced by u v; `u` is a list of
+    integer rows.  Vectors are written as decimal strings."""
+    def move(vectors):
+        return [[str(sum(a * int(x) for a, x in zip(row, v))) for row in u] for v in vectors]
+
+    def move_monoid(spec):
+        if spec == "saturated":
+            return spec
+        if "generators" in spec:
+            return {"generators": move(spec["generators"])}
+        return {"strata": [{"face": move(s["face"]), "basis": move(s["basis"])}
+                           for s in spec["strata"]]}
+
+    out = dict(doc, cones={name: move(gens) for name, gens in doc["cones"].items()})
+    if "monoids" in doc:
+        out["monoids"] = {name: move_monoid(spec) for name, spec in doc["monoids"].items()}
+    return out

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,33 @@ def write_model(tmp_path, doc):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+class TestWorkBudget:
+    """A Hilbert basis of more than 10^3 parallelepiped points is refused
+    before any is listed: the cone <e1, e2, (1, 1, d)> lists d of them."""
+
+    def model(self, tmp_path, d):
+        return write_model(tmp_path, {
+            "schema": SCHEMA, "ambient_rank": 3,
+            "cones": {"c": [[1, 0, 0], [0, 1, 0], [1, 1, d]]},
+            "fan": {"face_closure_of": ["c"]}, "monoids": {"c": "saturated"}})
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "normalize"])
+    def test_refused_with_the_estimate(self, capsys, tmp_path, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, self.model(tmp_path, 10**5), "--format", "machine")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == ("torf: the Hilbert basis of cone[(0, 1, 0); (1, 0, 0); (1, 1, 100000)]"
+                       " would list 100000 parallelepiped points; the limit is 1000\n")
+
+    def test_at_the_limit_runs(self, capsys, tmp_path):
+        code, out, _err = run(capsys, "validate", self.model(tmp_path, 10**3), "--format", "machine")
+        assert code == 0
+        top = json.loads(out)["results"]["cones"][-1]
+        assert sorted(top["generators"]) == sorted(
+            [["0", "1", "0"], ["1", "0", "0"]] + [["1", "1", str(k)] for k in range(1, 1001)])
 
 
 class TestExactExtraction:

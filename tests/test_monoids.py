@@ -3,12 +3,13 @@
 import itertools
 import random
 import time
+from unittest.mock import patch
 
 import pytest
 import torf.monoids
 from hypothesis import example, given, settings, strategies as st
 
-from torf.errors import BadLatticeFamily, NotFiniteExtension
+from torf.errors import BadLatticeFamily, NotFiniteExtension, WorkTooLarge
 from torf.cones import cone_from_generators, faces
 from torf.linalg import (
     Sublattice,
@@ -23,6 +24,8 @@ from torf.linalg import (
 from torf.monoids import (
     _MR_LIMIT,
     _lattice_intersection,
+    _parallelepiped_points,
+    _simplices,
     AffineMonoid,
     Characteristic,
     StratifiedMonoid,
@@ -61,6 +64,14 @@ PINCH = AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)])
 NSG23 = AffineMonoid.make(1, [(2,), (3,)])
 NN = AffineMonoid.make(2, [(1, 0), (0, 1)])
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def small_cone_generators():
+    """Up to three generators in Z^1..Z^3 and at most one lineality direction (with its negative)."""
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=3),
+        st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=1),
+    )).map(lambda gl: gl[0] + gl[1] + [tuple(-x for x in v) for v in gl[1]])
 
 
 class TestMembership:
@@ -234,12 +245,8 @@ class TestSaturation:
         assert len(cone_lattice_generators(c)) == size
 
     @PROPERTY
-    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-        st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=3),
-        st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=1))))
-    def test_hilbert_basis_against_brute_force(self, gens_and_lineality):
-        gens, lineality = gens_and_lineality
-        gens = gens + lineality + [tuple(-x for x in v) for v in lineality]
+    @given(small_cone_generators())
+    def test_hilbert_basis_against_brute_force(self, gens):
         c = cone_from_generators(len(gens[0]), gens)
         out = cone_lattice_generators(c)
         assert all(c.contains(h) for h in out)
@@ -251,6 +258,34 @@ class TestSaturation:
         assert sorted(units) == sorted(tuple(-x for x in u) for u in units)
         assert len(units) == 2 * c.lin_dim
         assert minors_gcd([u for u in units if u > tuple(-x for x in u)]) == 1
+
+
+class TestWorkBudget:
+    """A Hilbert basis counts its parallelepiped points before listing one."""
+
+    @PROPERTY
+    @given(small_cone_generators())
+    @example([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])  # simplices of 2 and 2 points
+    @example([(2, 0, 1), (0, 3, 1), (-1, 0, 1), (0, -1, 1)])  # simplices of 3 and 9 points
+    def test_refusal_carries_the_point_count(self, gens):
+        n = len(gens[0])
+        c = cone_from_generators(n, gens)
+        points = sum(len(_parallelepiped_points(saturate(Sublattice.from_generators(n, s)), s))
+                     for s in map(list, _simplices(c)))
+        with patch.object(torf.monoids, "MAX_PARALLELEPIPED_POINTS", points - 1):
+            with pytest.raises(WorkTooLarge, match=f" {points} parallelepiped points") as e:
+                cone_lattice_generators.__wrapped__(c)  # past the memo
+        assert e.value.estimate == points
+        with patch.object(torf.monoids, "MAX_PARALLELEPIPED_POINTS", points):
+            assert cone_lattice_generators.__wrapped__(c) == cone_lattice_generators(c)
+
+    def test_refused_before_listing(self):
+        c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, 10**9)])
+        start = time.process_time()
+        with pytest.raises(WorkTooLarge) as e:
+            saturation(AffineMonoid.make(3, c.rays))
+        assert e.value.estimate == 10**9
+        assert time.process_time() - start < 1
 
 
 class TestStratify:

@@ -2,7 +2,10 @@
 benchmark's trace reads, and the value classes measured against the
 `dataclasses` behaviour they replace."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +17,7 @@ import pytest
 from torf.cli import main
 from torf.cones import cone_from_generators
 from torf.errors import DimensionMismatch
-from torf.fixtures import fixture_names
+from torf.fixtures import broken_fixture_names, fixture_names
 from torf.linalg import IntMatrix, Sublattice
 from torf.model import ModelDoc
 from torf.monoids import AffineMonoid, Characteristic, stratify
@@ -35,7 +38,8 @@ PUBLIC = [
     "weak_normalization", "wn_complex",
 ]
 SUBMODULES = ["errors", "linalg", "cones", "monoids", "complexes", "derham"]
-HEAVY = ["dataclasses", "fractions", "torf.derham", "torf.fixtures"]
+HEAVY = ["_hashlib", "dataclasses", "fractions", "torf.derham", "torf.fixtures"]
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def fresh(code):
@@ -73,6 +77,62 @@ class TestStartup:
         assert (code, loaded) == (0, True)
         assert "1, 2, 1" in out
         assert not fractions  # no command builds a Fraction
+
+
+def digest_mismatches(tmp):
+    """The fixtures, good and broken, whose `input_digest` is not the SHA-256
+    of their model text, read from a file in the directory `tmp` or from
+    standard input."""
+    wrong = []
+    for name in fixture_names() + broken_fixture_names():
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            main(["fixtures", name])
+        model = text.getvalue()
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(model)
+        want = hashlib.sha256(model.encode()).hexdigest()
+        for source in (str(path), "-"):
+            stdin, sys.stdin = sys.stdin, io.StringIO(model)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    main(["validate", source, "--format", "machine"])
+            finally:
+                sys.stdin = stdin
+            if json.loads(out.getvalue())["input_digest"] != want:
+                wrong.append([name, source])
+    return wrong
+
+
+class TestDigest:
+    """`input_digest` is the SHA-256 of the model text, from the interpreter's
+    own SHA-256 or, without it, from hashlib's."""
+
+    def test_every_fixture(self, tmp_path):
+        assert digest_mismatches(tmp_path) == []
+
+    def test_without_the_builtin_module(self, tmp_path):
+        code = ("import json, sys\nsys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+                f"sys.path.insert(0, {TESTS!r})\nimport hashlib, torf.cli, test_package\n"
+                "print(json.dumps([torf.cli.sha256 is hashlib.sha256,"
+                f" test_package.digest_mismatches({str(tmp_path)!r})]))")
+        assert fresh(code) == [True, []]
+
+
+class TestNoOpenSSL:
+    def test_no_command_loads_hashlib(self, capsys, tmp_path):
+        assert main(["fixtures", "pinch"]) == 0
+        path = str(tmp_path / "pinch.json")
+        Path(path).write_text(capsys.readouterr().out)
+        runs = [["validate", path], ["normalize", path], ["classify", path], ["orbits", path],
+                ["betti", path], ["germ", path, "--cone", "c1"], ["forms", path],
+                ["fixtures", "pinch"]]
+        script = ("import contextlib, io, json, sys\nfrom torf.cli import main\nseen = []\n"
+                  f"for argv in {runs!r}:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        code = main(argv + ['--format', 'machine'])\n"
+                  "    seen.append([argv[0], code, '_hashlib' in sys.modules])\n"
+                  "print(json.dumps(seen))")
+        assert fresh(script) == [[argv[0], 0, False] for argv in runs]
 
 
 class TestTracedNames:
