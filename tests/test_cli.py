@@ -654,6 +654,14 @@ GOLDEN_COMMANDS = (
     ("normalize", "--mode", "wn", "--char", "2"), ("normalize", "--mode", "wn", "--char", "3"),
     ("betti", "--theoretical"), ("betti", "--box", "3"), ("forms", "--box", "2"),
 )
+# Model files beyond the fixtures: the complete fans of (P^1)^3 and P^3, and a
+# non-simplicial fan with a lineality.  Each names a cone "ray" and a pair "part".
+MODELS = Path(__file__).with_name("models")
+MODEL_NAMES = sorted(p.stem for p in MODELS.glob("*.json"))
+MODEL_COMMANDS = GOLDEN_COMMANDS + (
+    ("germ", "--cone", "ray"), ("betti", "--box", "2", "--pair", "part"),
+    ("forms", "--box", "1", "--pair", "part"),
+)
 CLI_DIGESTS = json.loads(Path(__file__).with_name("cli_digests.json").read_text())
 
 
@@ -682,8 +690,11 @@ def golden_digests():
     """
     with tempfile.TemporaryDirectory() as d:
         write_fixtures(Path(d))
-        return dict(golden_digest(Path(d), name, command)
-                    for name in fixture_names() for command in GOLDEN_COMMANDS)
+        digests = dict(golden_digest(Path(d), name, command)
+                       for name in fixture_names() for command in GOLDEN_COMMANDS)
+    digests.update(golden_digest(MODELS, name, command)
+                   for name in MODEL_NAMES for command in MODEL_COMMANDS)
+    return digests
 
 
 @pytest.fixture(scope="module")
@@ -698,4 +709,10 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("name", fixture_names())
     def test_machine_stdout_digest(self, fixture_dir, name, command):
         key, digest = golden_digest(fixture_dir, name, command)
+        assert digest == CLI_DIGESTS[key]
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_model_stdout_digest(self, name, command):
+        key, digest = golden_digest(MODELS, name, command)
         assert digest == CLI_DIGESTS[key]
