@@ -146,8 +146,8 @@ def _box(args, doc):
     side, n = 2 * box + 1, doc.ambient_rank
     digits = n * math.log10(side)  # of the (2b+1)^n degrees, which may be huge
     if digits > math.log10(MAX_BOX_DEGREES):
-        raise ParseError(f"box {box} in rank {n} spans {side}^{n}, about {10 ** (digits % 1):.1f}"
-                         f"e{int(digits)} degrees; the limit is {MAX_BOX_DEGREES}")
+        raise WorkTooLarge(f"box {box} in rank {n} spans {side}^{n}, about {10 ** (digits % 1):.1f}"
+                           f"e{int(digits)} degrees; the limit is {MAX_BOX_DEGREES}", side**n)
     return box
 
 

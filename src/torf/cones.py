@@ -1,21 +1,25 @@
 """Rational polyhedral cones and fans, with exact dual descriptions.
 
-Cones are stored in a canonical form so that equality is structural:
+A cone is its V side, stored in a canonical form, and equality and hashing
+read only that, so equality is structural:
 
 * `rays`: primitive extreme rays, reduced modulo the lineality lattice,
   sorted lexicographically;
-* `lin_basis`: canonical HNF basis of the lineality lattice;
-* `ineqs`: irredundant facet normals, reduced modulo the span-orthogonal
-  lattice, primitive, sorted;
-* `eqs`: canonical HNF basis of the lattice of covectors vanishing on the
-  cone (so the cone is `{x : ineqs >= 0, eqs = 0}`).
+* `lin_basis`: canonical HNF basis of the lineality lattice.
+
+Each cone also keeps a complete H-description, which is not part of its
+value: the cone is `{x : ineqs >= 0, eqs = 0}`, every covector in `eqs`
+vanishes on it and none in `ineqs` does.  It need not be irredundant, and
+`eqs` need not be independent; it decides `contains` and `locate`, which any
+complete H-description decides the same way.
 
 Each construction runs the double description method (from the full space,
 which is exact and handles lineality and implicit equalities) at most once:
 `cone_from_generators` for the H-description, `cone_from_h` for the
-V-description.  `_cone` reads the canonical form off both descriptions, so
-`faces` and `cone_difference` build theirs from the stored ones and run none;
-a face keeps its cone's rays and lineality and reduces only its covectors.
+V-description.  `faces` and `cone_difference` build theirs from the stored
+descriptions and run none.  A face keeps its cone's covectors, the
+inequalities vanishing on it becoming equations, so building it reduces
+nothing: no Hermite or Smith form.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .errors import (
     NotASubfan,
 )
 from .linalg import (
+    IntMatrix,
     Sublattice,
+    rank,
     saturate,
     snf,
     vec_add,
@@ -132,17 +138,17 @@ def _projector(lat: Sublattice):
 
 @value(frozen=True)
 class Cone:
-    """Rational polyhedral cone in canonical form; hashable, equality is structural."""
+    """Rational polyhedral cone: its canonical V side, hashable, with structural
+    equality.  Only the constructors here build one: they also store `ineqs`
+    and `eqs`, the H-description, which is not part of its value."""
 
     ambient_rank: int
     rays: tuple  # primitive extreme rays mod lineality, sorted
     lin_basis: tuple  # canonical HNF basis of the lineality lattice
-    ineqs: tuple  # irredundant facet normals, canonical, sorted
-    eqs: tuple  # canonical HNF basis of the covector lattice vanishing on the cone
 
-    @property
+    @cached_property
     def dim(self):
-        return self.ambient_rank - len(self.eqs)
+        return self.lin_dim + rank(IntMatrix.from_rows(self.rays, ncols=self.ambient_rank))
 
     @property
     def lin_dim(self):
@@ -180,27 +186,33 @@ def _pm(vectors):
     return list(vectors) + [vec_neg(v) for v in vectors]
 
 
-def _reduce(n, vecs, duals):
-    """One side `vecs` of a complete pair cone(gens) = {x : covectors >= 0},
-    reduced against the other side `duals`: the generators to the lineality
-    basis and the rays, the covectors (which generate the dual) to `eqs` and
-    the facet normals.  The smallest face containing v is cut out by the duals
-    tight at v: v lies in the span when every dual is tight, and is extreme
-    when no vector outside it has a strictly larger tight set."""
-    tight = [frozenset(i for i, a in enumerate(duals) if vec_dot(a, v) == 0) for v in vecs]
-    full = frozenset(range(len(duals)))
-    lat = saturate(Sublattice.from_generators(n, [v for v, t in zip(vecs, tight) if t == full]))
-    proper = set(tight) - {full}
-    proj = _projector(lat)  # applied to the extreme vectors only
-    return tuple(lat.basis_vectors()), tuple(sorted(dict.fromkeys(
-        vec_primitive(proj(v)) for v, t in zip(vecs, tight)
-        if t in proper and not any(t < u for u in proper))))
+def _with_h(c: Cone, ineqs, eqs) -> Cone:
+    """c with the H-description {x : ineqs >= 0, eqs = 0} stored."""
+    vars(c).update(ineqs=ineqs, eqs=eqs)
+    return c
 
 
 def _cone(n, gens, covectors) -> Cone:
-    """Canonical Cone from a complete pair: cone(gens) = {x : covectors >= 0}."""
-    (lin, rays), (eqs, ineqs) = _reduce(n, gens, covectors), _reduce(n, covectors, gens)
-    return Cone(n, rays, lin, ineqs, eqs)
+    """Cone from a complete pair cone(gens) = {x : covectors >= 0}.  The
+    generators are reduced to the lineality basis and the rays: the smallest
+    face containing v is cut out by the covectors tight at v, so v lies in the
+    lineality when every covector is tight, and is extreme when no generator
+    has a strictly larger tight set short of all.  The covectors are kept as
+    they are: `eqs` vanish on every generator (one of each +- pair), `ineqs`
+    are the rest, sorted."""
+    tight = [frozenset(i for i, a in enumerate(covectors) if vec_dot(a, v) == 0) for v in gens]
+    full = frozenset(range(len(covectors)))
+    lat = saturate(Sublattice.from_generators(n, [v for v, t in zip(gens, tight) if t == full]))
+    proper = set(tight) - {full}
+    proj = _projector(lat)  # applied to the extreme generators only
+    rays = tuple(sorted(dict.fromkeys(
+        vec_primitive(proj(v)) for v, t in zip(gens, tight)
+        if t in proper and not any(t < u for u in proper))))
+    flat = full.intersection(*tight)
+    ineqs = dict.fromkeys(a for i, a in enumerate(covectors) if i not in flat)
+    eqs = dict.fromkeys(max(a, vec_neg(a)) for i, a in enumerate(covectors)
+                        if i in flat and not vec_is_zero(a))
+    return _with_h(Cone(n, rays, tuple(lat.basis_vectors())), tuple(sorted(ineqs)), tuple(eqs))
 
 
 def cone_from_generators(n, gens) -> Cone:
@@ -234,8 +246,8 @@ def relint_contains(c: Cone, v) -> bool:
 
 def locate(c: Cone, m):
     """The face of c holding m in its relative interior, or None when m is not
-    in c.  It is read off the facet values: the face is spanned by the rays of
-    c on which every facet normal that vanishes at m also vanishes."""
+    in c.  It is read off the inequality values: the face is spanned by the
+    rays of c on which every inequality that vanishes at m also vanishes."""
     if len(m) != c.ambient_rank:
         raise DimensionMismatch("vector length does not match ambient rank")
     zero = []
@@ -264,50 +276,32 @@ def relint_point(c: Cone):
     return pt
 
 
-_RECORDED = {}  # face -> its faces, as recorded by `faces` of a larger cone
-
-
 @lru_cache(maxsize=None)
 def faces(c: Cone):
-    """All faces of c, including c itself and its minimal face, canonically ordered.
-
-    A face f of c has the lineality of c and a subset of its rays, so the faces
-    of f are the faces of c inside f: they are recorded, and `faces(f)` reads
-    them instead of building each face again.
-    """
-    if c in _RECORDED:
-        return _RECORDED.pop(c)
-    out = _enumerate_faces(c)
-    rays = {f: set(f.rays) for f in out}
-    for f in out[:-1]:
-        _RECORDED.setdefault(f, tuple(g for g in out if rays[g] <= rays[f]))
-    return out
-
-
-def _enumerate_faces(c: Cone):
-    """Faces are enumerated through the sets of extreme rays annihilated by
-    tight inequality subsets.  Each distinct ray subset s is one face: c with
-    the inequalities tight on s turned into equalities; its rays and lineality,
-    which are c's, are canonical already, so only its covectors are reduced."""
-    n = c.ambient_rank
+    """All faces of c, its minimal face first and c itself last, canonically
+    ordered.  They are the sets of c's rays on which tight subsets of its
+    inequalities vanish.  A face keeps c's lineality and covectors, the
+    inequalities vanishing on its rays joining the equations, so its
+    canonical form and its H-description are read, not reduced."""
     ray_list = list(c.rays)
+    zeros = [(a, frozenset(i for i, r in enumerate(ray_list) if not vec_dot(a, r)))
+             for a in c.ineqs]
     start = frozenset(range(len(ray_list)))
     seen = {start}
     queue = [start]
     while queue:
         s = queue.pop()
-        for a in c.ineqs:
-            t = frozenset(i for i in s if vec_dot(a, ray_list[i]) == 0)
+        for _a, z in zeros:
+            t = s & z
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    lin_gens, covs = _pm(c.lin_basis), list(c.ineqs) + _pm(c.eqs)
-    out = []
-    for s in seen:
+    out = [c]
+    for s in seen - {start}:
         rays = tuple(ray_list[i] for i in sorted(s))
-        tight = [vec_neg(a) for a in c.ineqs if all(vec_dot(a, r) == 0 for r in rays)]
-        eqs, ineqs = _reduce(n, covs + tight, list(rays) + lin_gens)
-        out.append(Cone(n, rays, c.lin_basis, ineqs, eqs))
+        out.append(_with_h(Cone(c.ambient_rank, rays, c.lin_basis),
+                           tuple(a for a, z in zeros if not s <= z),
+                           c.eqs + tuple(a for a, z in zeros if s <= z)))
     return tuple(sorted(out, key=Cone.sort_key))
 
 
@@ -365,8 +359,6 @@ def _face_poset(n, cones):
     for c in cone_list:
         if c.ambient_rank != n:
             raise DimensionMismatch("cone ambient rank does not match fan")
-    for c in reversed(cone_list):  # larger cones first: they record the faces of their faces
-        faces(c)
     above = {c: set() for c in cone_list}  # indices of the listed cones c is a face of
     for i, c in enumerate(cone_list):
         for f in faces(c):

@@ -261,7 +261,8 @@ def _simplices(c: Cone):
 
 
 def _grading(c: Cone):
-    """Covector positive on the pointed part of c: sum of the facet normals."""
+    """Covector positive on the pointed part of c and zero on its lineality:
+    the sum of its inequalities."""
     n = c.ambient_rank
     ell = tuple(0 for _ in range(n))
     for a in c.ineqs:

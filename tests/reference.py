@@ -1,11 +1,11 @@
 """Reference implementations that tests compare torf against; torf's own
 code does not use them.
 
-`hilbert_basis_brute` uses nothing of torf past the cone's stored facet
-normals and equations.  `generates_by_dd`, `face_from_scratch` and
+`hilbert_basis_brute` uses nothing of torf past the cone's stored
+inequalities and equations.  `generates_by_dd`, `face_from_scratch` and
 `saturated_by_cone` are the constructions that reading a cone's stored form
-replaced: a double description of every generator set, both sides of every
-face canonicalized, and one Hilbert basis per cone.  `span_lattice`,
+replaced: a double description of every generator set, every face reduced
+afresh, and one Hilbert basis per cone.  `span_lattice`,
 `family_ok` and `realize_cone_by_cone` are the saturated span of a cone, the
 lattice-family check on every ordered pair of faces and the realization that
 extracts generators on every cone.  `transform_model` moves a model file's
@@ -107,8 +107,10 @@ def rational_coords(cols, v):
 
 
 def facet_values(cone, v):
-    """The values of the facet normals of `cone` at v.  On the lattice points
-    of the span of the cone they determine v modulo the lineality."""
+    """The values of the inequalities of `cone` at v.  On the lattice points
+    of the span of the cone they determine v modulo the lineality.  An
+    inequality that is not a facet normal is a nonnegative combination of
+    facet normals on that span, so it changes no comparison of value vectors."""
     return tuple(sum(a * x for a, x in zip(row, v)) for row in cone.ineqs)
 
 
@@ -194,8 +196,9 @@ def generates_by_dd(s: AffineMonoid, c: Cone) -> bool:
 
 
 def face_from_scratch(c: Cone, rays) -> Cone:
-    """The face of c spanned by the given rays of c and its lineality, with
-    both sides canonicalized: the generators as well as the covectors."""
+    """The face of c spanned by the given rays of c and its lineality, its
+    generators reduced afresh against c's covectors and the inequalities
+    tight on it."""
     tight = [vec_neg(a) for a in c.ineqs if all(vec_dot(a, r) == 0 for r in rays)]
     return _cone(c.ambient_rank, list(rays) + _pm(c.lin_basis),
                  list(c.ineqs) + _pm(c.eqs) + tight)

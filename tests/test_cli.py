@@ -7,13 +7,15 @@ import json
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import torf.complexes
-from torf.cli import main
+from torf.cli import _box, main
+from torf.errors import WorkTooLarge
 from torf.fixtures import broken_fixture_names, fixture_names
-from torf.model import SCHEMA
+from torf.model import SCHEMA, parse_model
 from torf.monoids import AffineMonoid
 
 
@@ -523,6 +525,12 @@ class TestBetti:
         assert out == ""
         assert err == ("torf: box 100 in rank 3 spans 201^3, about 8.1e6 degrees; "
                        "the limit is 100000\n")
+
+    def test_large_box_is_work_too_large(self, capsys, tmp_path):
+        path = write_fixture(capsys, tmp_path, "torus-3")
+        with pytest.raises(WorkTooLarge) as e:
+            _box(SimpleNamespace(box=100), parse_model(Path(path).read_text()))
+        assert e.value.estimate == 201**3
 
     def test_large_options_box_refused(self, capsys, tmp_path):
         doc = dict(WIDE_MODEL, monoids={"c": "saturated"}, options={"box": "1000"})

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import torf.cones
+import torf.linalg
 from torf.errors import (
     BadIntersection,
     DimensionMismatch,
@@ -18,7 +19,6 @@ from torf.errors import (
 )
 from torf.cones import (
     Cone,
-    _enumerate_faces,
     cone_difference,
     cone_from_generators,
     cone_from_h,
@@ -216,8 +216,8 @@ class TestConeProperties:
     @given(cones())
     @example(LINEALITY_EXAMPLE)
     def test_faces_from_parent_match_scratch(self, c):
-        # a face keeps its cone's rays and lineality and reduces its covectors
-        for f in _enumerate_faces(c):
+        # a face keeps its cone's rays, lineality and covectors
+        for f in faces(c):
             assert f == face_from_scratch(c, f.rays)
             assert is_face_of(f, c)
 
@@ -229,6 +229,31 @@ class TestConeProperties:
         for r in c.rays:
             tight = [a for a in c.ineqs if vec_dot(a, r) == 0] + list(c.eqs)
             assert rank(IntMatrix.from_rows(tight, ncols=n)) == n - c.lin_dim - 1
+
+
+class TestFaceContract:
+    """A face keeps its cone's covectors and is the cone its generators give:
+    one value, and the same answers from either H-description."""
+
+    @PROPERTY
+    @given(cones())
+    @example(LINEALITY_EXAMPLE)
+    @example(cone_from_generators(0, []))
+    def test_face_agrees_with_cone_of_its_generators(self, c):
+        n = c.ambient_rank
+        bound = 2 if n <= 2 else 1
+        box = list(itertools.product(range(-bound, bound + 1), repeat=n))
+        assert faces.__wrapped__(c)[-1] is c
+        for f in faces(c):
+            g = cone_from_generators(n, f.generators)
+            assert hash(f) == hash(g) and len({f: 0, g: 1}) == 1
+            assert f.dim == g.dim
+            assert faces.__wrapped__(f) == faces.__wrapped__(g)
+            assert is_face_of(f, c) and is_face_of(g, c)
+            assert all(is_face_of(h, f) == is_face_of(h, g) for h in faces(c))
+            for m in box:
+                assert f.contains(m) == g.contains(m)
+                assert locate(f, m) == locate(g, m)
 
 
 @st.composite
@@ -335,8 +360,8 @@ def projective_cones(n):
 
 
 class TestFanFromMaximalCones:
-    """A fan is decided from its maximal cones; every cone's faces are read off
-    the faces of the larger cones."""
+    """A fan is decided from its maximal cones, and every cone's faces are
+    read off its stored descriptions."""
 
     @pytest.mark.parametrize("tops, cones, facets", [(octants(3), 27, 8),
                                                      (projective_cones(3), 15, 4)])
@@ -345,24 +370,41 @@ class TestFanFromMaximalCones:
         assert (len(fan), len(fan.facets)) == (cones, facets)
         assert set(fan.facets) == set(tops)
 
-    def test_intersects_and_enumerates_only_maximal_cones(self, monkeypatch):
+    def test_intersects_maximal_pairs_and_builds_faces_without_hnf(self, monkeypatch):
         tops = octants(3)
         listed = {f for c in tops for f in faces(c)}
-        # fresh face caches, so that every enumeration in fan_validate is seen
-        monkeypatch.setattr(torf.cones, "faces", lru_cache(maxsize=None)(faces.__wrapped__))
-        monkeypatch.setattr(torf.cones, "_RECORDED", {})
-        intersected, enumerated = [], []
-        real_intersect, real_enumerate = torf.cones.intersect, torf.cones._enumerate_faces
+        building = []  # the cones whose faces are being built, innermost last
+        built = []
+
+        def traced_faces(c):
+            building.append(c)
+            built.append(c)
+            try:
+                return faces.__wrapped__(c)
+            finally:
+                building.pop()
+
+        def refused(name, real):
+            def call(*args):
+                if building:
+                    pytest.fail(f"{name} while building the faces of {building[-1]}")
+                return real(*args)
+            return call
+
+        # a fresh face cache, so that every face built in fan_validate is seen
+        monkeypatch.setattr(torf.cones, "faces", lru_cache(maxsize=None)(traced_faces))
+        for module, name in ((torf.linalg, "hnf"), (torf.linalg, "snf"), (torf.cones, "snf")):
+            monkeypatch.setattr(module, name, refused(name, getattr(module, name)))
+        intersected = []
+        real_intersect = torf.cones.intersect
         monkeypatch.setattr(torf.cones, "intersect",
                             lambda c1, c2: intersected.append({c1, c2}) or real_intersect(c1, c2))
-        monkeypatch.setattr(torf.cones, "_enumerate_faces",
-                            lambda c: enumerated.append(c) or real_enumerate(c))
         fan = torf.cones.fan_validate(3, listed)
         assert len(fan) == 27
         assert len(intersected) == 28
         pairs = itertools.combinations(tops, 2)
         assert set(map(frozenset, intersected)) == set(map(frozenset, pairs))
-        assert sorted(enumerated, key=Cone.sort_key) == list(fan.facets)
+        assert sorted(built, key=Cone.sort_key) == list(fan.cones)
 
 
 LOCATE_EXAMPLES = (
@@ -375,7 +417,7 @@ LOCATE_EXAMPLES = (
 
 
 class TestLocate:
-    """The face holding a degree in its relative interior, read off the facet values."""
+    """The face holding a degree in its relative interior, read off the inequality values."""
 
     @PROPERTY
     @given(cones())
@@ -399,9 +441,11 @@ class TestLocate:
 
     @settings(PROPERTY, max_examples=30)
     @given(cones())
-    def test_recorded_faces_equal_enumeration(self, c):
+    @example(LINEALITY_EXAMPLE)
+    def test_faces_of_a_face_are_the_faces_inside_it(self, c):
         for f in faces(c):
-            assert faces(f) == _enumerate_faces(f)
+            inside = set(f.rays)
+            assert faces(f) == tuple(g for g in faces(c) if inside.issuperset(g.rays))
 
 
 class TestContains:
