@@ -18,6 +18,7 @@ from .errors import (
     GenerationFailure,
     NotASubfan,
     TorfError,
+    WorkTooLarge,
 )
 from .cones import (
     Cone,
@@ -290,12 +291,15 @@ def classify(x: MonoidalComplex):
 def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
     """Inverse of classify on seminormal complexes: `check_family` checks the
     family once, then each facet's stratified monoid is realized and its faces
-    take its generators.  The realized complex failing validation is a broken
+    take its generators.  A realization too large to list is refused
+    (WorkTooLarge); the realized complex failing validation is a broken
     postcondition, not bad input: an AssertionError."""
     check_family(fan, family)
     try:
         return _from_facets(fan, lambda f: from_strata(
             StratifiedMonoid(f, tuple((c, family[c]) for c in faces(f)))).generators)
+    except WorkTooLarge:
+        raise
     except TorfError as e:
         raise AssertionError(f"computed complex fails validation: {e}") from e
 

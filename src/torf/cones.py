@@ -352,20 +352,25 @@ def _meets_in_face(c1: Cone, c2: Cone) -> bool:
 
 
 def _face_poset(n, cones):
-    """The cones in canonical order, `above` and the facets; MissingFace if not face-closed."""
+    """The cones in canonical order, `above` (the indices of the facets each
+    cone is a face of) and the facets; MissingFace if not face-closed.  Only
+    the facets, found from the largest cone down, list their faces; a missing
+    face is named as the scan over every cone's faces names it."""
     cone_list = sorted(set(cones), key=Cone.sort_key)
     if not cone_list:
         raise MissingFace(None, None)
     for c in cone_list:
         if c.ambient_rank != n:
             raise DimensionMismatch("cone ambient rank does not match fan")
-    above = {c: set() for c in cone_list}  # indices of the listed cones c is a face of
-    for i, c in enumerate(cone_list):
-        for f in faces(c):
-            if f not in above:
-                raise MissingFace(c, f)
-            above[f].add(i)
-    return cone_list, above, tuple(c for c in cone_list if len(above[c]) == 1)
+    above = {c: set() for c in cone_list}
+    for i in reversed(range(len(cone_list))):
+        if not above[cone_list[i]]:  # a face of no facet found so far: a facet
+            for f in faces(cone_list[i]):
+                if f not in above:
+                    raise next(MissingFace(c, g) for c in cone_list for g in faces(c)
+                               if g not in above)
+                above[f].add(i)
+    return cone_list, above, tuple(c for i, c in enumerate(cone_list) if i in above[c])
 
 
 def fan_validate(n, cones) -> Fan:

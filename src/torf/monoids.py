@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from itertools import repeat
-from math import gcd
+from itertools import product, repeat
+from math import gcd, prod
 
 from .errors import (
     BadLatticeFamily,
@@ -26,7 +26,6 @@ from .cones import Cone, cone_from_generators, faces, is_face_of, locate
 from .linalg import (
     IntMatrix,
     Sublattice,
-    det,
     kernel_cols,
     lattice_contains,
     lattice_coords,
@@ -45,7 +44,8 @@ from .values import value
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
-MAX_PARALLELEPIPED_POINTS = 10**3  # most lattice points one Hilbert basis enumerates
+MAX_PARALLELEPIPED_POINTS = 10**3  # most cell points one normalization enumerates
+MAX_RELATIVE_CANDIDATES = 10**5  # most candidates one relative normalization enumerates
 
 
 def _is_prime(p):
@@ -226,25 +226,6 @@ def _coords_matrix(sup: Sublattice, vectors) -> IntMatrix:
     return IntMatrix.from_cols(cols, nrows=sup.rank)
 
 
-def _parallelepiped_points(sup: Sublattice, vectors):
-    """Points of `sup` in the half-open parallelepiped of the given independent
-    vectors of `sup`, which span a sublattice of full rank; one per coset.
-
-    With A the vectors' coordinates in sup's basis and U A V = D, the points
-    U^-1 c for 0 <= c_i < d_i run over the cosets; each one is moved to A
-    times the fractional part of A^-1 U^-1 c = V D^-1 c.
-    """
-    a = _coords_matrix(sup, vectors)
-    dmat, _u, v = snf(a)
-    diag = [dmat.entry(i, i) for i in range(a.rows)]
-    reps = []
-    for c in itertools.product(*(range(di) for di in diag)):
-        y, q = _smith_solve(diag, v, c)
-        frac = a.mul_vec(tuple(yi % q for yi in y))
-        reps.append(sup.basis.mul_vec(tuple(xi // q for xi in frac)))
-    return reps
-
-
 def _simplices(c: Cone):
     """Maximal simplices (tuples of rays) of a pulling triangulation of c
     modulo its lineality; every face of c has the same lineality, so its rays
@@ -258,6 +239,34 @@ def _simplices(c: Cone):
             for t in _simplices(f):
                 out.append(t + (r0,))
     return out
+
+
+def _cell_points(cone: Cone, top: Sublattice, r, units, what):
+    """The points of `top` in each cell of `cone`, as (the r[x], the points).
+    A cell is, for a simplex sigma of `_simplices(cone)`, the point r[x] of
+    `top` on each ray x of sigma plus `units`, a basis of a full-rank lattice
+    of the lineality; it holds |det| points, one per coset of its span in
+    `top`, the product of its Smith diagonal.  Above MAX_PARALLELEPIPED_POINTS
+    in all, WorkTooLarge naming `what` is raised before any point is listed.
+
+    With A the cell's coordinates in top's basis and U A V = D, the points
+    U^-1 c for 0 <= c_i < d_i run over the cosets; each one is moved to A
+    times the fractional part of A^-1 U^-1 c = V D^-1 c.
+    """
+    cells = []
+    for rs in ([r[x] for x in simplex] for simplex in _simplices(cone)):
+        a = _coords_matrix(top, rs + units)
+        d, _u, v = snf(a)
+        cells.append((rs, a, [d.entry(i, i) for i in range(a.rows)], v))
+    count = sum(prod(diag) for _rs, _a, diag, _v in cells)
+    if count > MAX_PARALLELEPIPED_POINTS:
+        raise WorkTooLarge(f"{what} would list {count} parallelepiped points; the limit is"
+                           f" {MAX_PARALLELEPIPED_POINTS}", count)
+
+    def point(a, y, q):  # A times the fractional part of y / q, in ambient coordinates
+        return top.basis.mul_vec(tuple(x // q for x in a.mul_vec(tuple(yi % q for yi in y))))
+    return [(rs, [point(a, *_smith_solve(diag, v, c)) for c in product(*map(range, diag))])
+            for rs, a, diag, v in cells]
 
 
 def _grading(c: Cone):
@@ -274,21 +283,16 @@ def _grading(c: Cone):
 def cone_lattice_generators(c: Cone):
     """Generating set of the monoid Z^n intersect c: a canonical lattice basis
     (with negatives) for the lineality part, plus the Hilbert basis of the
-    pointed part.  This is the saturation of any monoid generating c.  The
-    rays lie in a lattice complement of the lineality, so an irreducible
-    element is a ray or lies in the half-open parallelepiped of a simplex.
-    WorkTooLarge when those hold more than MAX_PARALLELEPIPED_POINTS points."""
-    n = c.ambient_rank
-    cells = [(saturate(Sublattice.from_generators(n, s)), s) for s in map(list, _simplices(c))]
-    points = sum(abs(det(_coords_matrix(span, s))) for span, s in cells)  # one per coset
-    if points > MAX_PARALLELEPIPED_POINTS:
-        raise WorkTooLarge(f"the Hilbert basis of {c} would list {points} parallelepiped"
-                           f" points; the limit is {MAX_PARALLELEPIPED_POINTS}", points)
-    candidates = set(c.rays)
-    for span, s in cells:
-        candidates.update(_parallelepiped_points(span, s))
-    lineality = Sublattice.from_generators(n, list(c.lin_basis))
-    return extract_generators(c, c.contains, lineality, candidates).generators
+    pointed part.  This is the saturation of any monoid generating c.  Up to
+    the units, an irreducible element is a ray or a point of a cell of c's
+    rays and lineality basis in Z^n intersect span c (`_cell_points`, which
+    refuses more than MAX_PARALLELEPIPED_POINTS points)."""
+    n, units = c.ambient_rank, list(c.lin_basis)
+    top = saturate(Sublattice.from_generators(n, c.generators))
+    cells = _cell_points(c, top, dict(zip(c.rays, c.rays)), units, f"the Hilbert basis of {c}")
+    candidates = set(c.rays).union(*(points for _rs, points in cells))
+    return extract_generators(c, c.contains, Sublattice.from_generators(n, units),
+                              candidates).generators
 
 
 def saturation(s: AffineMonoid) -> AffineMonoid:
@@ -407,13 +411,13 @@ def _strata_candidates(strat: StratifiedMonoid):
     realized monoid M of a stratified monoid.
 
     Take r_i, the least multiple of ray i inside its ray stratum.  For each
-    simplex sigma of a triangulation, take the points of the top lattice in
-    the half-open parallelepiped of {r_i : i in sigma} plus a basis of the
-    minimal stratum L_min, and add every subset sum of those r_i.  Exactness:
-    an m in M lies in relint F and L_F for some face F, and in the cone of
-    some sigma, m = l + sum t_i r_i with l in span(L_min), t_i >= 0 and
-    t_i > 0 only on rays of F.  Then m - sum (ceil(t_i) - 1) r_i still lies in
-    relint F and in L_F, and up to L_min it is a candidate.
+    cell of r_i and a basis of the minimal stratum L_min in the top lattice
+    (`_cell_points`), take its points and add every subset sum of its r_i.
+    Exactness: an m in M lies in relint F and L_F for some face F, and in
+    the cone of some simplex sigma, m = l + sum t_i r_i with l in
+    span(L_min), t_i >= 0 and t_i > 0 only on rays of F.  Then
+    m - sum (ceil(t_i) - 1) r_i still lies in relint F and in L_F, and up to
+    L_min it is a candidate.
     """
     cone = strat.cone
     n = cone.ambient_rank
@@ -423,13 +427,9 @@ def _strata_candidates(strat: StratifiedMonoid):
         line = Sublattice.from_generators(n, [ray])
         b = _lattice_intersection(strat.lattice_of(locate(cone, ray)), line).basis_vectors()[0]
         r[ray] = b if cone.contains(b) else vec_neg(b)
-    top = strat.lattice_of(cone)
-    out = set()
-    for simplex in _simplices(cone):
-        rs = [r[x] for x in simplex]
-        for x in _parallelepiped_points(top, rs + units):
-            out.update(vec_add(x, t) for t in _subset_sums(n, rs))
-    return out
+    cells = _cell_points(cone, strat.lattice_of(cone), r, units,
+                         f"the generators of the strata on {cone}")
+    return {vec_add(x, t) for rs, points in cells for t in _subset_sums(n, rs) for x in points}
 
 
 def extract_generators(cone: Cone, member_fn, group_lattice: Sublattice,
@@ -506,9 +506,11 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
 
     Take r_i, a generator of S in the face of ray i outside the lineality,
     and for each generator g'_j of S' the least c_j >= 1 with c_j g'_j in
-    N<r_i : i in sigma> + group for a simplex sigma containing g'_j.  Every t in T is e + sum A_i r_i + u with e in
-    E = {sum n_j g'_j : 0 <= n_j < c_j}, A_i in N and u in group; the
-    candidate e + sum_{A_i > 0} r_i lies in the same relint F and in L_F.
+    N<r_i : i in sigma> + group for a simplex sigma containing g'_j.  Every t
+    in T is e + sum A_i r_i + u with e in E = {sum n_j g'_j : 0 <= n_j < c_j},
+    A_i in N and u in group; the candidate e + sum_{A_i > 0} r_i lies in the
+    same relint F and in L_F.  WorkTooLarge before E is listed when the
+    estimate prod c_j * 2^|rays| is above MAX_RELATIVE_CANDIDATES.
     """
     n = s.ambient_rank
     cone = monoid_cone(s)
@@ -519,7 +521,7 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
     for simplex in _simplices(cone):
         d, u, v = snf(IntMatrix.from_cols([r[x] for x in simplex] + units, nrows=n))
         bases.append((len(simplex), [d.entry(i, i) for i in range(d.cols)], u, v))
-    spread = {tuple(0 for _ in range(n))}
+    c = []
     for g in sp.generators:
         for k, diag, u, v in bases:
             y, q = _smith_solve(diag, v, u.mul_vec(g))  # coordinates y / q
@@ -527,8 +529,14 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
                 break
         else:
             raise AssertionError(f"{g} lies in no simplex of the cone")
-        c = q // gcd(q, *y)
-        spread = {vec_add(e, vec_scale(j, g)) for e in spread for j in range(c)}
+        c.append(q // gcd(q, *y))
+    estimate = prod(c) << len(r)
+    if estimate > MAX_RELATIVE_CANDIDATES:
+        raise WorkTooLarge(f"the relative normalization over {cone} would list {estimate}"
+                           f" candidates; the limit is {MAX_RELATIVE_CANDIDATES}", estimate)
+    spread = {tuple(0 for _ in range(n))}
+    for g, cj in zip(sp.generators, c):
+        spread = {vec_add(e, vec_scale(j, g)) for e in spread for j in range(cj)}
     sums = _subset_sums(n, list(r.values()))
     return {vec_add(e, t) for e in spread for t in sums}
 

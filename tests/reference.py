@@ -5,10 +5,13 @@ code does not use them.
 inequalities and equations.  `generates_by_dd`, `face_from_scratch` and
 `saturated_by_cone` are the constructions that reading a cone's stored form
 replaced: a double description of every generator set, every face reduced
-afresh, and one Hilbert basis per cone.  `span_lattice`,
+afresh, and one Hilbert basis per cone.  `points_by_simplex` and
+`hilbert_basis_by_simplex` enumerate a Hilbert basis's parallelepipeds one
+saturated simplex span at a time, with no lineality in the cells.  `span_lattice`,
 `family_ok` and `realize_cone_by_cone` are the saturated span of a cone, the
 lattice-family check on every ordered pair of faces and the realization that
-extracts generators on every cone.  `transform_model` moves a model file's
+extracts generators on every cone.  `first_missing_face` scans the faces of
+every listed cone, not only those of the maximal ones.  `transform_model` moves a model file's
 complex by a linear map of Z^n.
 """
 
@@ -28,9 +31,12 @@ from torf.cones import (
 )
 from torf.errors import DimensionMismatch
 from torf.linalg import (
+    IntMatrix,
     Sublattice,
     lattice_contains,
+    lattice_coords,
     saturate,
+    snf,
     vec_add,
     vec_dot,
     vec_is_zero,
@@ -39,8 +45,10 @@ from torf.linalg import (
 from torf.monoids import (
     AffineMonoid,
     StratifiedMonoid,
-    _parallelepiped_points,
+    _simplices,
+    _smith_solve,
     cone_lattice_generators,
+    extract_generators,
     from_strata,
     is_weakly_normal,
     member,
@@ -71,6 +79,42 @@ def sn_member_oracle(s: AffineMonoid, m, window=5, search_bound=60) -> bool:
                 )
             return True
     return False
+
+
+def _parallelepiped_points(sup: Sublattice, vectors):
+    """Points of `sup` in the half-open parallelepiped of the given independent
+    vectors of `sup`, which span a sublattice of full rank; one per coset.
+
+    With A the vectors' coordinates in sup's basis and U A V = D, the points
+    U^-1 c for 0 <= c_i < d_i run over the cosets; each one is moved to A
+    times the fractional part of A^-1 U^-1 c = V D^-1 c.
+    """
+    a = IntMatrix.from_cols([lattice_coords(sup, v) for v in vectors], nrows=sup.rank)
+    dmat, _u, v = snf(a)
+    diag = [dmat.entry(i, i) for i in range(a.rows)]
+    reps = []
+    for c in itertools.product(*(range(di) for di in diag)):
+        y, q = _smith_solve(diag, v, c)
+        frac = a.mul_vec(tuple(yi % q for yi in y))
+        reps.append(sup.basis.mul_vec(tuple(xi // q for xi in frac)))
+    return reps
+
+
+def points_by_simplex(c: Cone):
+    """The parallelepiped points of the Hilbert basis of c, one saturated span
+    per simplex: for each simplex sigma of `_simplices(c)`, the list of the
+    points of Z^n intersect span(sigma) in the half-open parallelepiped of the
+    rays of sigma, with no lineality in the cell."""
+    return [_parallelepiped_points(saturate(Sublattice.from_generators(c.ambient_rank, s)), s)
+            for s in map(list, _simplices(c))]
+
+
+def hilbert_basis_by_simplex(c: Cone):
+    """`cone_lattice_generators(c)` from the points of `points_by_simplex`
+    and the rays, with no work budget."""
+    lineality = Sublattice.from_generators(c.ambient_rank, list(c.lin_basis))
+    candidates = set(c.rays).union(*points_by_simplex(c))
+    return extract_generators(c, c.contains, lineality, candidates).generators
 
 
 def coset_reps(sup: Sublattice, sub: Sublattice):
@@ -188,6 +232,13 @@ def all_pairs_failure(cones):
             if not (is_face_of(common, c1) and is_face_of(common, c2)):
                 return c1, c2, relint_point(common)
     return None
+
+
+def first_missing_face(cones):
+    """The first (cone, face) with the face not listed, scanning the faces of
+    every listed cone in canonical order; None when the cones are face-closed."""
+    cone_list = sorted(set(cones), key=Cone.sort_key)
+    return next(((c, f) for c in cone_list for f in faces(c) if f not in cone_list), None)
 
 
 def generates_by_dd(s: AffineMonoid, c: Cone) -> bool:

@@ -235,6 +235,36 @@ class TestWorkBudget:
             [["0", "1", "0"], ["1", "0", "0"]] + [["1", "1", str(k)] for k in range(1, 1001)])
 
 
+class TestStrataBudget:
+    """Strata candidates are sized before they are listed, as a Hilbert basis
+    is: the monoid on e1, e2, (1, 1, d) and (1, 1, d - 1) has the strata of
+    the saturated cone <e1, e2, (1, 1, d)>, whose cell holds d points."""
+
+    def model(self, tmp_path, d):
+        return write_model(tmp_path, {
+            "schema": SCHEMA, "ambient_rank": 3,
+            "cones": {"c": [[1, 0, 0], [0, 1, 0], [1, 1, d]]},
+            "fan": {"face_closure_of": ["c"]},
+            "monoids": {"c": {"generators": [[1, 0, 0], [0, 1, 0], [1, 1, d], [1, 1, d - 1]]}}})
+
+    @pytest.mark.parametrize("command", ["classify", "normalize"])
+    def test_refused_with_the_estimate(self, capsys, tmp_path, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, self.model(tmp_path, 10**4), "--format", "machine")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == ("torf: the generators of the strata on cone[(0, 1, 0); (1, 0, 0);"
+                       " (1, 1, 10000)] would list 10000 parallelepiped points; the limit is 1000\n")
+
+    def test_under_the_limit_runs(self, capsys, tmp_path):
+        code, out, _err = run(capsys, "normalize", self.model(tmp_path, 10**3), "--format", "machine")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["already_normal"] is False
+        assert sorted(res["cones"][-1]["generators"]) == sorted(
+            [["0", "1", "0"], ["1", "0", "0"]] + [["1", "1", str(k)] for k in range(1, 1001)])
+
+
 class TestExactExtraction:
     """A seminormalization generator outside any small box: (10, 1)."""
 

@@ -5,7 +5,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import torf.cones
 import torf.linalg
@@ -35,7 +35,7 @@ from torf.cones import (
 )
 from torf.linalg import IntMatrix, rank, vec_add, vec_dot
 
-from reference import all_pairs_failure, face_from_scratch, locate_scan
+from reference import all_pairs_failure, face_from_scratch, first_missing_face, locate_scan
 
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
@@ -291,6 +291,31 @@ class TestFanValidateProperties:
         check_against_all_pairs(*case)
 
 
+class TestMissingFaceProperties:
+    """Only the maximal cones list their faces, and a missing face is named as
+    the scan over the faces of every listed cone names it."""
+
+    @PROPERTY
+    @given(face_closures(1, 3), st.data())
+    def test_matches_scan_over_every_cone(self, case, data):
+        n, closure = case
+        cones = sorted(closure, key=Cone.sort_key)
+        kept = set(cones) - data.draw(st.sets(st.sampled_from(cones), max_size=2))
+        assume(kept)
+        missing = first_missing_face(kept)
+        if missing is not None:
+            with pytest.raises(MissingFace) as e:
+                fan_validate(n, kept)
+            assert (e.value.cone, e.value.face) == missing
+            return
+        try:
+            fan = fan_validate(n, kept)
+        except BadIntersection:
+            return
+        assert fan.facets == tuple(c for c in fan.cones
+                                   if not any(c != d and is_face_of(c, d) for d in fan.cones))
+
+
 def closure_of(cones):
     return {f for c in cones for f in faces(c)}
 
@@ -404,7 +429,7 @@ class TestFanFromMaximalCones:
         assert len(intersected) == 28
         pairs = itertools.combinations(tops, 2)
         assert set(map(frozenset, intersected)) == set(map(frozenset, pairs))
-        assert sorted(built, key=Cone.sort_key) == list(fan.cones)
+        assert sorted(built, key=Cone.sort_key) == list(fan.facets)
 
 
 LOCATE_EXAMPLES = (

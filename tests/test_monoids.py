@@ -7,10 +7,11 @@ from unittest.mock import patch
 
 import pytest
 import torf.monoids
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torf.errors import BadLatticeFamily, NotFiniteExtension, WorkTooLarge
-from torf.cones import cone_from_generators, faces
+from torf.complexes import complex_from_monoid_subfan, sn_complex, wn_complex
+from torf.cones import cone_from_generators, face_fan_closure, faces
 from torf.linalg import (
     Sublattice,
     lattice_contains,
@@ -23,8 +24,8 @@ from torf.linalg import (
 )
 from torf.monoids import (
     _MR_LIMIT,
+    _cell_points,
     _lattice_intersection,
-    _parallelepiped_points,
     _simplices,
     AffineMonoid,
     Characteristic,
@@ -49,16 +50,20 @@ from torf.monoids import (
 )
 
 from reference import (
+    _parallelepiped_points,
     coset_reps,
     facet_values,
     family_ok,
     generates_by_dd,
     hilbert_basis_brute,
+    hilbert_basis_by_simplex,
     minors_gcd,
+    points_by_simplex,
     sn_member_oracle,
     span_lattice,
 )
 from test_complexes import monoid_complexes
+from test_cones import LINEALITY_EXAMPLE
 
 PINCH = AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)])
 NSG23 = AffineMonoid.make(1, [(2,), (3,)])
@@ -286,6 +291,60 @@ class TestWorkBudget:
             saturation(AffineMonoid.make(3, c.rays))
         assert e.value.estimate == 10**9
         assert time.process_time() - start < 1
+
+
+@st.composite
+def cones_with_lineality(draw):
+    """A cone in Z^1..Z^4 on up to six generators in a half-space (so that
+    non-simplicial cones are common from rank 3), with entries -3..3, and up
+    to one lineality direction."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * (n - 1), st.integers(0, 3)),
+                         min_size=n, max_size=6))
+    line = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=1))
+    return cone_from_generators(n, gens + line + [vec_neg(v) for v in line])
+
+
+class TestOneEnumeration:
+    """The Hilbert basis lists the points of cells of rays and lineality in
+    Z^n intersect span c: the points that one saturated span per simplex,
+    with no lineality, lists."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(cones_with_lineality())
+    @example(LINEALITY_EXAMPLE)
+    @example(cone_from_generators(3, [(2, 0, 1), (0, 3, 1), (-1, 0, 1), (0, -1, 1)]))
+    @example(cone_from_generators(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 2, 0), (0, 1, 2, 0),
+                                      (0, 0, 0, 1), (0, 0, 0, -1)]))  # non-simplicial, a line
+    def test_matches_per_simplex_spans(self, c):
+        units = list(c.lin_basis)
+        cells = _cell_points(c, span_lattice(c), dict(zip(c.rays, c.rays)), units, "c")
+        assert [sorted(xs) for _rs, xs in cells] == list(map(sorted, points_by_simplex(c)))
+        assert cone_lattice_generators(c) == hilbert_basis_by_simplex(c)
+
+
+class TestEveryEnumerationIsSized:
+    """With no budget, every enumeration of cell points or relative
+    candidates is refused before it lists one."""
+
+    @pytest.mark.parametrize("enumeration", [
+        lambda x: cone_lattice_generators.__wrapped__(monoid_cone(PINCH)),
+        lambda x: from_strata(stratify(PINCH)),
+        lambda x: is_weakly_normal(PINCH, Characteristic(2)),
+        lambda x: sn_complex(x),
+        lambda x: wn_complex(x, Characteristic(3)),
+        lambda x: relative_sn(AffineMonoid.make(1, [(6,)]), AffineMonoid.make(1, [(1,)])),
+    ], ids=["hilbert", "from_strata", "is_weakly_normal", "sn_complex", "wn_complex",
+            "relative_sn"])
+    def test_refused_before_listing(self, monkeypatch, enumeration):
+        x = complex_from_monoid_subfan(PINCH, face_fan_closure(2, [monoid_cone(PINCH)]))
+        for name in ("product", "_subset_sums", "vec_scale"):  # what lists points
+            monkeypatch.setattr(torf.monoids, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        monkeypatch.setattr(torf.monoids, "MAX_PARALLELEPIPED_POINTS", 0)
+        monkeypatch.setattr(torf.monoids, "MAX_RELATIVE_CANDIDATES", 0)
+        with pytest.raises(WorkTooLarge) as e:
+            enumeration(x)
+        assert e.value.estimate > 0
 
 
 class TestStratify:
@@ -691,3 +750,38 @@ class TestWeakNormalityProperties:
             assert all(member(big, g) for g in small.generators)
         assert weak_normalization(wn, char) == strat
         assert is_weakly_normal(s, char) == monoid_equal(wn, s)
+
+
+class TestRelativeBudget:
+    """Relative candidates are counted, prod c_j * 2^|rays|, before any is listed."""
+
+    def test_refused_with_the_estimate(self):
+        s = AffineMonoid.make(3, [(50, 0, 0), (0, 50, 0), (0, 0, 50), (1, 1, 1)])
+        sp = saturation(s)
+        start = time.process_time()
+        with pytest.raises(WorkTooLarge, match=" 1000000 candidates; the limit is 100000") as e:
+            relative_sn(s, sp)
+        assert e.value.estimate == 8 * 50**3
+        assert time.process_time() - start < 1
+
+    @PROPERTY
+    @given(st.integers(1, 2).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=3)))
+    def test_estimate_bounds_the_candidates(self, gens):
+        s = AffineMonoid.make(len(gens[0]), gens)
+        sp = saturation(s)
+        with patch.object(torf.monoids, "MAX_RELATIVE_CANDIDATES", 0):
+            with pytest.raises(WorkTooLarge) as e:
+                relative_sn(s, sp)
+        assume(e.value.estimate <= 10**4)  # a test-sized enumeration
+        listed = []
+        real = torf.monoids._relative_candidates
+
+        def counted(*args):
+            listed.append(real(*args))
+            return listed[-1]
+
+        with patch.object(torf.monoids, "_relative_candidates", counted):
+            with patch.object(torf.monoids, "MAX_RELATIVE_CANDIDATES", e.value.estimate):
+                assert monoid_equal(relative_sn(s, sp), from_strata(stratify(s)))
+        assert 0 < len(listed[0]) <= e.value.estimate
