@@ -199,8 +199,10 @@ def build_complex(doc: ModelDoc):
 
     Every explicit monoid must generate its cone (GenerationFailure, fan
     cones first).  Fan cones without an explicit monoid inherit the
-    restriction of the explicit monoid on the smallest cone containing them,
-    or the saturated monoid when no such cone exists.
+    restriction of the explicit monoid on the smallest cone containing them.
+    When no such cone exists, no facet above the cone has an explicit monoid
+    either, and the cone takes the restriction of its first facet's saturated
+    monoid (the facet's Hilbert basis), which is its own saturated monoid.
     """
     n = doc.ambient_rank
     named = {name: cone_from_generators(n, g) for name, g in doc.cone_gens.items()}
@@ -218,15 +220,14 @@ def build_complex(doc: ModelDoc):
             raise GenerationFailure(c)
     table = {}
     for c in fan:
-        if c in explicit:
-            table[c] = explicit[c]
-            continue
-        parents = [p for p in explicit if is_face_of(c, p)]
+        parents = [p for p in explicit if is_face_of(c, p)]  # c itself, if explicit
         if parents:
-            parent = min(parents, key=lambda p: p.sort_key())
-            table[c] = face_restriction(explicit[parent], c)
-        else:
-            table[c] = AffineMonoid.make(n, cone_lattice_generators(c))
+            table[c] = face_restriction(explicit[min(parents, key=Cone.sort_key)], c)
+            continue
+        f = next(f for f in fan.facets if is_face_of(c, f))
+        saturated = AffineMonoid.make(n, cone_lattice_generators(f))
+        generates(saturated, f)  # records f as its cone
+        table[c] = face_restriction(saturated, c)
     x = complex_validate(n, fan, table)
     pairs = {pname: subfan(fan, [named[c] for c in names])
              for pname, names in doc.pair_specs.items()}

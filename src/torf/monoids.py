@@ -104,12 +104,12 @@ def monoid_gp(s: AffineMonoid) -> Sublattice:
     return Sublattice.from_generators(s.ambient_rank, list(s.generators))
 
 
-_GENERATED = {}  # monoid -> its cone, recorded by `generates`
+_GENERATED = {}  # monoid -> its cone, recorded by `generates` and `face_restriction`
 
 
 @lru_cache(maxsize=None)
 def monoid_cone(s: AffineMonoid) -> Cone:
-    """The rational cone generated by S: the one `generates` recorded, if any."""
+    """The rational cone generated by S: the one recorded for it, if any."""
     return _GENERATED.get(s) or cone_from_generators(s.ambient_rank, list(s.generators))
 
 
@@ -201,10 +201,13 @@ def monoid_equal(s1: AffineMonoid, s2: AffineMonoid) -> bool:
 
 
 def face_restriction(s: AffineMonoid, t: Cone) -> AffineMonoid:
-    """S intersected with a face of its cone (= generators lying in the face)."""
+    """S intersected with a face t of its cone: the monoid on the generators
+    lying in t, which generate t, so t is recorded as its cone."""
     if not is_face_of(t, monoid_cone(s)):
         raise NotAFace("restriction target is not a face of the monoid cone")
-    return AffineMonoid.make(s.ambient_rank, [g for g in s.generators if t.contains(g)])
+    r = AffineMonoid.make(s.ambient_rank, [g for g in s.generators if t.contains(g)])
+    _GENERATED[r] = t
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ saturated simplex span at a time, with no lineality in the cells.  `span_lattice
 lattice-family check on every ordered pair of faces and the realization that
 extracts generators on every cone.  `first_missing_face` scans the faces of
 every listed cone, not only those of the maximal ones.  `transform_model` moves a model file's
-complex by a linear map of Z^n.
+complex by a linear map of Z^n.  `complex_validate_all_pairs` checks the
+monoidal complex axioms on every cone and every (face, cone) pair, not only
+on the facets and their faces.
 """
 
 import itertools
@@ -29,7 +31,12 @@ from torf.cones import (
     is_face_of,
     relint_point,
 )
-from torf.errors import DimensionMismatch
+from torf.errors import (
+    CompatibilityFailure,
+    ConeNotInFan,
+    DimensionMismatch,
+    GenerationFailure,
+)
 from torf.linalg import (
     IntMatrix,
     Sublattice,
@@ -50,6 +57,7 @@ from torf.monoids import (
     cone_lattice_generators,
     extract_generators,
     from_strata,
+    generates,
     is_weakly_normal,
     member,
     stratify,
@@ -302,3 +310,33 @@ def transform_model(doc, u):
     if "monoids" in doc:
         out["monoids"] = {name: move_monoid(spec) for name, spec in doc["monoids"].items()}
     return out
+
+
+def complex_validate_all_pairs(n, fan, monoid_of):
+    """The monoidal complex axioms checked on every cone: each monoid
+    generates its cone (GenerationFailure, in fan order), and S_tau is
+    S_sigma intersect tau on every pair of a proper face tau and a cone sigma
+    (CompatibilityFailure, sigma in fan order).  Returns the assignment in
+    canonical order."""
+    table = {}
+    for c in fan:
+        if c not in monoid_of:
+            raise ConeNotInFan(f"no monoid assigned to cone {c}")
+        s = monoid_of[c]
+        if s.ambient_rank != n:
+            raise DimensionMismatch("monoid ambient rank does not match the fan")
+        if not generates(s, c):
+            raise GenerationFailure(c)
+        table[c] = s
+    for sig in fan:
+        for tau in faces(sig)[:-1]:
+            st, ss = table[tau], table[sig]
+            if st.generators == tuple(g for g in ss.generators if tau.contains(g)):
+                continue
+            for g in st.generators:
+                if not member(ss, g):
+                    raise CompatibilityFailure(tau, sig, g)
+            for g in ss.generators:
+                if tau.contains(g) and not member(st, g):
+                    raise CompatibilityFailure(tau, sig, g)
+    return tuple(sorted(table.items(), key=lambda kv: kv[0].sort_key()))

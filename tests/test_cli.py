@@ -1,6 +1,7 @@
 """Command line interface: commands, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -12,10 +13,14 @@ from types import SimpleNamespace
 import pytest
 
 import torf.complexes
+import torf.cones
+import torf.model
+import torf.monoids
 from torf.cli import _box, main
+from torf.complexes import support_box
 from torf.errors import WorkTooLarge
 from torf.fixtures import broken_fixture_names, fixture_names
-from torf.model import SCHEMA, parse_model
+from torf.model import SCHEMA, build_complex, parse_model
 from torf.monoids import AffineMonoid
 
 
@@ -754,3 +759,34 @@ class TestGoldenOutput:
     def test_model_stdout_digest(self, name, command):
         key, digest = golden_digest(MODELS, name, command)
         assert digest == CLI_DIGESTS[key]
+
+
+class TestModelExpandsFacetsOnly:
+    """Building and validating a model generates and lists the faces of its
+    facets only, and every face monoid is recorded with its face as its cone,
+    so locating degrees afterwards runs no double description."""
+
+    @pytest.mark.parametrize("name", ["p1-cubed", "p3"])
+    def test_counted_calls(self, name, monkeypatch):
+        calls = {"generates": [], "faces": [], "cone_from_generators": []}
+
+        def counting(module, fname, real):  # records the cone argument
+            monkeypatch.setattr(module, fname, lambda *a: calls[fname].append(a[-1]) or real(*a))
+
+        # fresh caches, so that this build does every piece of its own work
+        monkeypatch.setattr(torf.monoids, "_GENERATED", {})
+        monkeypatch.setattr(torf.monoids, "_MEMBER_CACHE", {})
+        monkeypatch.setattr(torf.monoids, "monoid_cone",
+                            functools.lru_cache(maxsize=None)(torf.monoids.monoid_cone.__wrapped__))
+        monkeypatch.setattr(torf.cones, "faces",
+                            functools.lru_cache(maxsize=None)(torf.cones.faces.__wrapped__))
+        for module in (torf.cones, torf.monoids, torf.complexes):
+            counting(module, "faces", module.faces)
+        for module in (torf.model, torf.complexes):
+            counting(module, "generates", torf.monoids.generates)
+        x, _pairs = build_complex(parse_model((MODELS / f"{name}.json").read_text()))
+        assert set(calls["generates"]) == set(calls["faces"]) == set(x.fan.facets)
+        for module in (torf.cones, torf.monoids):
+            counting(module, "cone_from_generators", torf.cones.cone_from_generators)
+        assert support_box(x, 1)
+        assert calls["cone_from_generators"] == []

@@ -17,6 +17,7 @@ from torf.errors import (
     GenerationFailure,
     NotASubfan,
     NotWeaklyNormal,
+    TorfError,
 )
 from torf.cones import (
     cone_from_generators,
@@ -75,6 +76,7 @@ from torf.monoids import (
 )
 
 from reference import (
+    complex_validate_all_pairs,
     is_weakly_normal_facetwise,
     normalize_cone_by_cone,
     realize_cone_by_cone,
@@ -137,6 +139,86 @@ class TestValidation:
         with pytest.raises(CompatibilityFailure) as exc:
             complex_validate(2, fan, table)
         assert (exc.value.face, exc.value.cone, exc.value.witness) == (xneg, left, (-1, 0))
+
+    def quad_table(self, xray_gens):
+        table = {c: AffineMonoid.make(2, [g for g in [(1, 0), (0, 1)] if c.contains(g)])
+                 for c in faces(QUAD)}
+        table[XRAY] = AffineMonoid.make(2, xray_gens)
+        return table
+
+    def test_face_monoid_with_a_facet_generator_outside_its_face(self):
+        # (0, 1) is in S_QUAD but not in XRAY: membership in S_QUAD alone would pass it
+        with pytest.raises(CompatibilityFailure) as exc:
+            complex_validate(2, face_fan_closure(2, [QUAD]), self.quad_table([(1, 0), (0, 1)]))
+        assert (exc.value.face, exc.value.cone, exc.value.witness) == (XRAY, QUAD, (0, 1))
+
+    def test_face_monoid_not_generating_its_face_is_incompatible(self):
+        # only facets are checked for generation; a face monoid that fails it
+        # differs from its facet's restriction, which generates the face
+        fan, table = face_fan_closure(2, [QUAD]), self.quad_table([])
+        with pytest.raises(CompatibilityFailure) as exc:
+            complex_validate(2, fan, table)
+        assert (exc.value.face, exc.value.cone, exc.value.witness) == (XRAY, QUAD, (1, 0))
+        with pytest.raises(GenerationFailure):
+            complex_validate_all_pairs(2, fan, table)
+
+
+@st.composite
+def perturbations(draw, x):
+    """One generator of one cone's monoid of x scaled, dropped, replaced or
+    added: (the cone, the monoid table)."""
+    n = x.ambient_rank
+    c, s = draw(st.sampled_from(x.assignment))
+    gens = list(s.generators)
+    kind = draw(st.sampled_from(("scale", "drop", "replace", "add") if gens else ("add",)))
+    i = draw(st.integers(0, len(gens) - 1)) if gens else None
+    vector = st.tuples(*[st.integers(-2, 2)] * n)
+    if kind == "scale":
+        gens[i] = tuple(draw(st.integers(2, 3)) * v for v in gens[i])
+    elif kind == "drop":
+        del gens[i]
+    elif kind == "replace":
+        gens[i] = draw(vector)
+    else:
+        gens.append(draw(vector))
+    return c, {**dict(x.assignment), c: AffineMonoid.make(n, gens)}
+
+
+def validation_outcome(validate, fan, table):
+    try:
+        validate(fan.ambient_rank, fan, table)
+    except TorfError as e:
+        return e
+    return None
+
+
+class TestValidationAgainstAllPairs:
+    """Checking the facets and their faces accepts exactly what checking every
+    cone and every (face, cone) pair accepts, and reports the same error when
+    the changed monoid is a facet's."""
+
+    def check(self, fan, c, table):
+        got = validation_outcome(complex_validate, fan, table)
+        want = validation_outcome(complex_validate_all_pairs, fan, table)
+        assert (got is None) == (want is None)
+        if got is None:
+            assert complex_validate(fan.ambient_rank, fan, table).assignment == \
+                complex_validate_all_pairs(fan.ambient_rank, fan, table)
+        elif c in fan.facets:
+            assert (type(got), vars(got)) == (type(want), vars(want))
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @settings(PROPERTY, max_examples=25)
+    @given(data=st.data())
+    def test_fixtures(self, name, data):
+        x = fixture(name).complex
+        self.check(x.fan, *data.draw(perturbations(x)))
+
+    @settings(PROPERTY, max_examples=100)
+    @given(data=st.data())
+    def test_random_complexes(self, data):
+        x = data.draw(monoid_complexes())
+        self.check(x.fan, *data.draw(perturbations(x)))
 
 
 class TestSupport:

@@ -323,6 +323,23 @@ class TestOneEnumeration:
         assert cone_lattice_generators(c) == hilbert_basis_by_simplex(c)
 
 
+class TestFaceHilbertBases:
+    """A face's saturated monoid is its cone's restricted to it: the Hilbert
+    basis elements of c lying in a face are the face's own Hilbert basis, as
+    the fan cones that no explicit monoid covers take it from a facet."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(cones_with_lineality())
+    @example(LINEALITY_EXAMPLE)
+    @example(cone_from_generators(3, [(2, 0, 1), (0, 3, 1), (-1, 0, 1), (0, -1, 1)]))
+    @example(cone_from_generators(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 2, 0), (0, 1, 2, 0),
+                                      (0, 0, 0, 1), (0, 0, 0, -1)]))  # non-simplicial, a line
+    def test_restricted_from_the_cone(self, c):
+        hilbert = cone_lattice_generators(c)
+        for f in faces(c):
+            assert cone_lattice_generators(f) == tuple(g for g in hilbert if f.contains(g))
+
+
 class TestEveryEnumerationIsSized:
     """With no budget, every enumeration of cell points or relative
     candidates is refused before it lists one."""
