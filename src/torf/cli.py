@@ -279,11 +279,11 @@ def cmd_betti(args, rep):
 
 def cmd_germ(args, rep):
     doc = _load(args.file, rep)
-    x, _pairs = build_complex(doc)
     if args.cone is None:
         raise ParseError("germ requires --cone NAME")
     if args.cone not in doc.cone_gens:
         raise ParseError(f"unknown cone name {args.cone!r}")
+    x, _pairs = build_complex(doc)
     t = cone_from_generators(doc.ambient_rank, doc.cone_gens[args.cone])
     g = germ_at(x, t)
     rep.results["germ_model"] = serialize_model(g)

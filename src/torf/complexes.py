@@ -79,44 +79,39 @@ def complex_validate(n, fan: Fan, monoid_of) -> MonoidalComplex:
     The axioms are checked on the facets, which decide every cone: each
     facet's monoid S_f generates f, and each proper face tau of f has
     S_tau = S_f intersect tau, the `face_restriction` of S_f, which generates
-    tau.  A face monoid that differs from it is reported with the first of
-    its generators and the restriction's that is not in both, so a face
-    monoid not generating its face is a CompatibilityFailure at (face, facet).
+    tau.  So only the facets need a monoid in `monoid_of` (ConeNotInFan
+    otherwise); a face without one takes the restriction of its first facet,
+    in `fan.facets` order.  A face monoid that differs from a restriction is
+    reported with the first of its generators and the restriction's that is
+    not in both, so a face monoid not generating its face is a
+    CompatibilityFailure at (face, facet).
     """
     facets = set(fan.facets)
     for c in fan:
         if c not in monoid_of:
-            raise ConeNotInFan(f"no monoid assigned to cone {c}")
-        if monoid_of[c].ambient_rank != n:
+            if c in facets:
+                raise ConeNotInFan(f"no monoid assigned to cone {c}")
+        elif monoid_of[c].ambient_rank != n:
             raise DimensionMismatch("monoid ambient rank does not match the fan")
-        if c in facets and not generates(monoid_of[c], c):
+        elif c in facets and not generates(monoid_of[c], c):
             raise GenerationFailure(c)
+    table = dict(monoid_of)
     for f in fan.facets:
         for tau in faces(f)[:-1]:
-            st, r = monoid_of[tau], face_restriction(monoid_of[f], tau)
+            r = face_restriction(table[f], tau)
+            st = table.setdefault(tau, r)
             if st != r:
                 for g in st.generators + r.generators:
                     if not (member(r, g) and member(st, g)):
                         raise CompatibilityFailure(tau, f, g)
-    return MonoidalComplex(n, fan, tuple((c, monoid_of[c]) for c in fan))
-
-
-def _from_facets(fan: Fan, generators_of) -> MonoidalComplex:
-    """The complex giving each facet f the monoid on generators_of(f), and each
-    face the generators inside it of the first facet above it; validated."""
-    n = fan.ambient_rank
-    table = {}
-    for f in fan.facets:
-        gens = generators_of(f)
-        for c in faces(f):
-            if c not in table:
-                table[c] = AffineMonoid.make(n, [g for g in gens if c.contains(g)])
-    return complex_validate(n, fan, table)
+    return MonoidalComplex(n, fan, tuple((c, table[c]) for c in fan))
 
 
 def full_complex(fan: Fan) -> MonoidalComplex:
     """Every cone with its saturated monoid: a facet's Hilbert basis, in the cone."""
-    return _from_facets(fan, cone_lattice_generators)
+    n = fan.ambient_rank
+    return complex_validate(n, fan, {
+        f: AffineMonoid.make(n, cone_lattice_generators(f)) for f in fan.facets})
 
 
 def complex_from_monoid_subfan(s: AffineMonoid, subfan: Fan) -> MonoidalComplex:
@@ -125,7 +120,8 @@ def complex_from_monoid_subfan(s: AffineMonoid, subfan: Fan) -> MonoidalComplex:
     for c in subfan:
         if not is_face_of(c, big):
             raise NotASubfan(f"cone {c} is not a face of the monoid cone")
-    return _from_facets(subfan, lambda f: face_restriction(s, f).generators)
+    return complex_validate(subfan.ambient_rank, subfan,
+                            {f: face_restriction(s, f) for f in subfan.facets})
 
 
 def support_locate(x: MonoidalComplex, m):
@@ -286,13 +282,13 @@ def classify(x: MonoidalComplex):
 def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
     """Inverse of classify on seminormal complexes: `check_family` checks the
     family once, then each facet's stratified monoid is realized and its faces
-    take its generators.  A realization too large to list is refused
+    take its restrictions.  A realization too large to list is refused
     (WorkTooLarge); the realized complex failing validation is a broken
     postcondition, not bad input: an AssertionError."""
     check_family(fan, family)
     try:
-        return _from_facets(fan, lambda f: from_strata(
-            StratifiedMonoid(f, tuple((c, family[c]) for c in faces(f)))).generators)
+        return complex_validate(fan.ambient_rank, fan, {f: from_strata(
+            StratifiedMonoid(f, tuple((c, family[c]) for c in faces(f)))) for f in fan.facets})
     except WorkTooLarge:
         raise
     except TorfError as e:

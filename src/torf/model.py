@@ -107,12 +107,15 @@ def parse_model(text: str) -> ModelDoc:
     if not fan_spec[1]:
         raise ParseError("fan must list at least one cone")
     monoid_specs = {}
-    for name, spec in (doc.get("monoids") or {}).items():
+    raw_monoids = doc.get("monoids", {})
+    if not isinstance(raw_monoids, dict):
+        raise ParseError("monoids must be an object")
+    for name, spec in raw_monoids.items():
         if name not in cone_gens:
             raise ParseError(f"monoid assigned to unknown cone {name!r}")
         monoid_specs[name] = _parse_monoid_spec(spec, n)
     pair_specs = {}
-    raw_pairs = doc.get("pairs") or {}
+    raw_pairs = doc.get("pairs", {})
     if not isinstance(raw_pairs, dict):
         raise ParseError("pairs must be an object")
     for pname, names in raw_pairs.items():
@@ -120,7 +123,7 @@ def parse_model(text: str) -> ModelDoc:
             raise ParseError(f"pair {pname!r} must list at least one cone name")
         pair_specs[pname] = [_cone_name(x, cone_gens) for x in names]
     options = {}
-    raw_opts = doc.get("options") or {}
+    raw_opts = doc.get("options", {})
     if not isinstance(raw_opts, dict):
         raise ParseError("options must be an object")
     unknown = set(raw_opts) - _OPTION_KEYS
@@ -198,11 +201,12 @@ def build_complex(doc: ModelDoc):
     """Assemble and validate the complex and its pairs; returns (complex, pairs).
 
     Every explicit monoid must generate its cone (GenerationFailure, fan
-    cones first).  Fan cones without an explicit monoid inherit the
-    restriction of the explicit monoid on the smallest cone containing them.
-    When no such cone exists, no facet above the cone has an explicit monoid
-    either, and the cone takes the restriction of its first facet's saturated
-    monoid (the facet's Hilbert basis), which is its own saturated monoid.
+    cones first).  A fan cone inside an explicit monoid's cone takes the
+    restriction of the explicit monoid on the smallest such cone.  A facet
+    inside none takes its saturated monoid (its Hilbert basis), and any other
+    cone is left to `complex_validate`, which gives it its first facet's
+    restriction: no facet above it has an explicit monoid either, so that is
+    its own saturated monoid.
     """
     n = doc.ambient_rank
     named = {name: cone_from_generators(n, g) for name, g in doc.cone_gens.items()}
@@ -218,16 +222,13 @@ def build_complex(doc: ModelDoc):
     for c in sorted(explicit, key=lambda c: (c not in fan, c.sort_key())):
         if not generates(explicit[c], c):  # before restricting it to faces
             raise GenerationFailure(c)
-    table = {}
+    table, facets = {}, set(fan.facets)
     for c in fan:
         parents = [p for p in explicit if is_face_of(c, p)]  # c itself, if explicit
         if parents:
             table[c] = face_restriction(explicit[min(parents, key=Cone.sort_key)], c)
-            continue
-        f = next(f for f in fan.facets if is_face_of(c, f))
-        saturated = AffineMonoid.make(n, cone_lattice_generators(f))
-        generates(saturated, f)  # records f as its cone
-        table[c] = face_restriction(saturated, c)
+        elif c in facets:
+            table[c] = AffineMonoid.make(n, cone_lattice_generators(c))
     x = complex_validate(n, fan, table)
     pairs = {pname: subfan(fan, [named[c] for c in names])
              for pname, names in doc.pair_specs.items()}

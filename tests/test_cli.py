@@ -12,12 +12,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import torf.cli
 import torf.complexes
 import torf.cones
 import torf.model
 import torf.monoids
 from torf.cli import _box, main
 from torf.complexes import support_box
+from torf.cones import cone_from_generators, faces, is_face_of
 from torf.errors import WorkTooLarge
 from torf.fixtures import broken_fixture_names, fixture_names
 from torf.model import SCHEMA, build_complex, parse_model
@@ -151,6 +153,14 @@ class TestValidate:
         code, _out, err = run(capsys, "validate", str(path))
         assert code == 1
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize("key, value", [("monoids", [1]), ("monoids", "x"), ("monoids", []),
+                                            ("pairs", []), ("options", None)])
+    def test_section_not_an_object(self, capsys, tmp_path, key, value):
+        doc = {"schema": SCHEMA, "ambient_rank": "1", "cones": {"r": [["1"]]},
+               "fan": {"face_closure_of": ["r"]}, key: value}
+        code, out, err = run(capsys, "validate", write_model(tmp_path, doc))
+        assert (code, out, err) == (1, "", f"torf: {key} must be an object\n")
 
     def test_unreadable_file(self, capsys, tmp_path):
         code, _out, err = run(capsys, "validate", str(tmp_path / "absent.json"))
@@ -629,6 +639,18 @@ class TestOrbitsGermForms:
         code, _out, err = run(capsys, "germ", path)
         assert code == 1
 
+    def test_germ_checks_cone_before_building(self, capsys, tmp_path, monkeypatch):
+        """--cone is checked on the parsed model, before the complex is built,
+        so an invalid model is not validated to report a missing option."""
+        path = write_fixture(capsys, tmp_path, "broken-overlap")
+        built = []
+        monkeypatch.setattr(torf.cli, "build_complex", built.append)
+        for argv, message in [((), "germ requires --cone NAME"),
+                              (("--cone", "nope"), "unknown cone name 'nope'")]:
+            code, out, err = run(capsys, "germ", path, *argv)
+            assert (code, out, err) == (1, "", f"torf: {message}\n")
+        assert built == []
+
     def test_forms_pair(self, capsys, tmp_path):
         path = write_fixture(capsys, tmp_path, "affine-2")
         code, out, _err = run(capsys, "forms", path, "--pair", "boundary",
@@ -766,9 +788,11 @@ class TestModelExpandsFacetsOnly:
     facets only, and every face monoid is recorded with its face as its cone,
     so locating degrees afterwards runs no double description."""
 
+    RESTRICTIONS = {"p1-cubed": 74, "p3": 28}  # face_restriction calls
+
     @pytest.mark.parametrize("name", ["p1-cubed", "p3"])
     def test_counted_calls(self, name, monkeypatch):
-        calls = {"generates": [], "faces": [], "cone_from_generators": []}
+        calls = {"generates": [], "faces": [], "cone_from_generators": [], "face_restriction": []}
 
         def counting(module, fname, real):  # records the cone argument
             monkeypatch.setattr(module, fname, lambda *a: calls[fname].append(a[-1]) or real(*a))
@@ -784,9 +808,19 @@ class TestModelExpandsFacetsOnly:
             counting(module, "faces", module.faces)
         for module in (torf.model, torf.complexes):
             counting(module, "generates", torf.monoids.generates)
-        x, _pairs = build_complex(parse_model((MODELS / f"{name}.json").read_text()))
+            counting(module, "face_restriction", torf.monoids.face_restriction)
+        doc = parse_model((MODELS / f"{name}.json").read_text())
+        x, _pairs = build_complex(doc)
         assert set(calls["generates"]) == set(calls["faces"]) == set(x.fan.facets)
         for module in (torf.cones, torf.monoids):
             counting(module, "cone_from_generators", torf.cones.cone_from_generators)
         assert support_box(x, 1)
         assert calls["cone_from_generators"] == []
+        # one restriction per (proper face, facet) pair, in complex_validate,
+        # and one per fan cone inside an explicit monoid's cone, in build_complex
+        explicit = [cone_from_generators(doc.ambient_rank, doc.cone_gens[cname])
+                    for cname in doc.monoid_specs]
+        covered = [c for c in x.fan if any(is_face_of(c, p) for p in explicit)]
+        face_facet_pairs = sum(len(faces(f)) - 1 for f in x.fan.facets)
+        assert len(calls["face_restriction"]) == face_facet_pairs + len(covered) \
+            == self.RESTRICTIONS[name]

@@ -474,6 +474,35 @@ class TestAssemblyFromFacets:
         assert calls == list(x.fan.facets)
 
 
+class TestFacetsDecideTheComplex:
+    """complex_validate needs a monoid on the facets only: a face without one
+    takes its first facet's restriction, which is the monoid that the full
+    table gives it."""
+
+    def check(self, x):
+        n, table = x.ambient_rank, dict(x.assignment)
+        facets_only = complex_validate(n, x.fan, {f: table[f] for f in x.fan.facets})
+        assert facets_only == complex_validate(n, x.fan, table)
+        assert facets_only.assignment == complex_validate_all_pairs(n, x.fan, table)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        self.check(fixture(name).complex)
+
+    @PROPERTY
+    @given(monoid_complexes())
+    def test_random_complexes(self, x):
+        self.check(x)
+
+    def test_missing_facet(self):
+        left = cone_from_generators(2, [(-1, 0), (0, 1)])
+        x = full_complex(face_fan_closure(2, [QUAD, left]))
+        table = dict(x.assignment)
+        del table[left]
+        with pytest.raises(ConeNotInFan):
+            complex_validate(2, x.fan, table)
+
+
 def koszul_betti(x, box, pair=()):
     """Betti numbers as the sum of Koszul fiber cohomology over the support box."""
     total = [0] * (x.ambient_rank + 1)
