@@ -42,11 +42,11 @@ from .monoids import (
     face_restriction,
     from_strata,
     generates,
-    is_seminormal,
     member,
     monoid_cone,
     monoid_gp,
-    wn_lattice,
+    realizes,
+    wn_family,
 )
 from .values import value
 
@@ -248,30 +248,23 @@ def components(x: MonoidalComplex):
 def sn_complex(x: MonoidalComplex) -> MonoidalComplex:
     """Seminormalization: the complex that realizes the lattice family of x
     (by face compatibility, gp(S_sigma intersect F) = gp(S_F) on each face F)."""
-    return complex_from_lattice_family(x.fan, classify(x))
-
-
-@lru_cache(maxsize=None)
-def _wn_family(x: MonoidalComplex, char: Characteristic):
-    """The lattice family of the weak normalization of x (read only: memoized,
-    so that a complex and its verdict p-saturate each stratum once)."""
-    return {c: wn_lattice(lat, char.p) for c, lat in classify(x).items()}
+    return _realize(x.fan, classify(x))
 
 
 def wn_complex(x: MonoidalComplex, char: Characteristic) -> MonoidalComplex:
     """Weak normalization: the complex that realizes the p-saturated family."""
-    return complex_from_lattice_family(x.fan, _wn_family(x, char))
+    return _realize(x.fan, wn_family(classify(x), char.p))
 
 
 @lru_cache(maxsize=None)
 def is_seminormal_complex(x: MonoidalComplex) -> bool:
-    """Facet-wise seminormality of the cone monoids."""
-    return all(is_seminormal(x.monoid_of(f)) for f in x.fan.facets)
+    """Each facet monoid `realizes` its strata gp(S_f intersect F) in `classify(x)`."""
+    return all(realizes(x.monoid_of(f), st) for f, st in _facet_strata(x.fan, classify(x)).items())
 
 
 def is_weakly_normal_complex(x: MonoidalComplex, char: Characteristic) -> bool:
-    """Seminormal, and every lattice of the family is its own p-saturation."""
-    return is_seminormal_complex(x) and _wn_family(x, char) == classify(x)
+    """Seminormal, and the family of x is its own `wn_family`."""
+    return is_seminormal_complex(x) and wn_family(classify(x), char.p) == classify(x)
 
 
 def classify(x: MonoidalComplex):
@@ -279,20 +272,28 @@ def classify(x: MonoidalComplex):
     return {c: monoid_gp(s) for c, s in x.assignment}
 
 
-def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
-    """Inverse of classify on seminormal complexes: `check_family` checks the
-    family once, then each facet's stratified monoid is realized and its faces
-    take its restrictions.  A realization too large to list is refused
-    (WorkTooLarge); the realized complex failing validation is a broken
-    postcondition, not bad input: an AssertionError."""
-    check_family(fan, family)
+def _facet_strata(fan: Fan, family):
+    """Each facet's stratified monoid in a lattice family of the fan."""
+    return {f: StratifiedMonoid(f, tuple((c, family[c]) for c in faces(f))) for f in fan.facets}
+
+
+def _realize(fan: Fan, family) -> MonoidalComplex:
+    """The complex realizing a valid family on its facets, the faces taking
+    restrictions.  WorkTooLarge passes; a realized complex failing validation
+    is a broken postcondition, not bad input: an AssertionError."""
     try:
-        return complex_validate(fan.ambient_rank, fan, {f: from_strata(
-            StratifiedMonoid(f, tuple((c, family[c]) for c in faces(f)))) for f in fan.facets})
+        return complex_validate(fan.ambient_rank, fan, {
+            f: from_strata(st) for f, st in _facet_strata(fan, family).items()})
     except WorkTooLarge:
         raise
     except TorfError as e:
         raise AssertionError(f"computed complex fails validation: {e}") from e
+
+
+def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
+    """Inverse of classify on seminormal complexes, for a family from outside."""
+    check_family(fan, family)
+    return _realize(fan, family)
 
 
 # ---------------------------------------------------------------------------

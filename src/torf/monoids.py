@@ -355,15 +355,13 @@ class StratifiedMonoid:
 
 
 def stratify(s: AffineMonoid) -> StratifiedMonoid:
-    """The face-indexed family of sublattices gp(S intersect face)."""
+    """The family gp(S intersect F) on the faces F of cone(S), realizing the
+    seminormalization of S; no `check_family`, as S intersect F generates F."""
     c = monoid_cone(s)
-    table = {f: monoid_gp(face_restriction(s, f)) for f in faces(c)}
-    return StratifiedMonoid.make(c, table)
+    return StratifiedMonoid(c, tuple((f, monoid_gp(face_restriction(s, f))) for f in faces(c)))
 
 
-def seminormalization(s: AffineMonoid) -> StratifiedMonoid:
-    """Stratified form whose realized set is the seminormalization of S."""
-    return stratify(s)
+seminormalization = stratify
 
 
 def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
@@ -378,18 +376,16 @@ def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
     return Sublattice.from_generators(sup.ambient_rank, gens)
 
 
-def wn_lattice(lat: Sublattice, p: int) -> Sublattice:
-    """The stratum of the weak normalization at p over the stratum `lat`: its
-    p-saturation inside the saturated lattice Z^n intersect span(lat); `lat`
-    itself when p is 0."""
-    return lat if p == 0 else _p_saturation(lat, saturate(lat), p)
+def wn_family(family, p: int):
+    """The family (face -> stratum) of the weak normalization at p: each stratum
+    p-saturated inside Z^n intersect its span, which keeps the family valid."""
+    return family if p == 0 else {f: _p_saturation(L, saturate(L), p) for f, L in family.items()}
 
 
 def weak_normalization(s: AffineMonoid, char: Characteristic) -> StratifiedMonoid:
-    """The seminormalization strata, each replaced by its `wn_lattice`; equals
-    the seminormalization when the characteristic is 0."""
+    """The strata of `stratify(s)`, p-saturated by `wn_family` (the same at p = 0)."""
     sn = stratify(s)
-    return StratifiedMonoid.make(sn.cone, {f: wn_lattice(lat, char.p) for f, lat in sn.strata})
+    return StratifiedMonoid(sn.cone, tuple(wn_family(dict(sn.strata), char.p).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +465,15 @@ def is_seminormal(s: AffineMonoid) -> bool:
     return is_weakly_normal(s, Characteristic(0))
 
 
+def realizes(s: AffineMonoid, strat: StratifiedMonoid) -> bool:
+    """Every candidate of `strat` that it realizes is in S; on S's own family, seminormality."""
+    return all(member(s, m) for m in _strata_candidates(strat) if strat.member(m))
+
+
 def is_weakly_normal(s: AffineMonoid, char: Characteristic) -> bool:
-    """S is seminormal (every generator candidate of sn(S) is in S), and every
-    stratum of sn(S) is its own `wn_lattice`."""
+    """S `realizes` sn(S), so is seminormal, and sn(S)'s family is its own `wn_family`."""
     sn = stratify(s)
-    return (all(member(s, m) for m in _strata_candidates(sn) if sn.member(m))
-            and all(wn_lattice(lat, char.p) == lat for _f, lat in sn.strata))
+    return realizes(s, sn) and wn_family(dict(sn.strata), char.p) == dict(sn.strata)
 
 
 # ---------------------------------------------------------------------------

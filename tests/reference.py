@@ -14,7 +14,12 @@ extracts generators on every cone.  `first_missing_face` scans the faces of
 every listed cone, not only those of the maximal ones.  `transform_model` moves a model file's
 complex by a linear map of Z^n.  `complex_validate_all_pairs` checks the
 monoidal complex axioms on every cone and every (face, cone) pair, not only
-on the facets and their faces.
+on the facets and their faces.  `stratify_checked`, `wn_lattice`,
+`weak_normalization_checked`, `is_weakly_normal_inline`,
+`is_seminormal_complex_facetwise` and `is_weakly_normal_complex_by_lattice`
+are the verdicts that reading a complex's own lattice family replaced: each
+facet stratified again, every family run through `check_family`, and the
+p-saturation written out per stratum.
 """
 
 import itertools
@@ -51,15 +56,21 @@ from torf.linalg import (
 )
 from torf.monoids import (
     AffineMonoid,
+    Characteristic,
     StratifiedMonoid,
+    _p_saturation,
     _simplices,
     _smith_solve,
+    _strata_candidates,
     cone_lattice_generators,
     extract_generators,
+    face_restriction,
     from_strata,
     generates,
     is_weakly_normal,
     member,
+    monoid_cone,
+    monoid_gp,
     stratify,
     weak_normalization,
 )
@@ -221,6 +232,44 @@ def normalize_cone_by_cone(x, char=None):
 def is_weakly_normal_facetwise(x, char) -> bool:
     """Weak normality of the complex x at `char`, decided on each facet monoid."""
     return all(is_weakly_normal(x.monoid_of(f), char) for f in x.fan.facets)
+
+
+def stratify_checked(s: AffineMonoid) -> StratifiedMonoid:
+    """The family gp(S intersect F), built through `StratifiedMonoid.make`."""
+    c = monoid_cone(s)
+    return StratifiedMonoid.make(c, {f: monoid_gp(face_restriction(s, f)) for f in faces(c)})
+
+
+def wn_lattice(lat: Sublattice, p: int) -> Sublattice:
+    """The p-saturation of one stratum inside Z^n intersect its span; `lat`
+    itself when p is 0."""
+    return lat if p == 0 else _p_saturation(lat, saturate(lat), p)
+
+
+def weak_normalization_checked(s: AffineMonoid, char) -> StratifiedMonoid:
+    """Each stratum of `stratify_checked(s)` replaced by its `wn_lattice`,
+    built through `StratifiedMonoid.make`."""
+    sn = stratify_checked(s)
+    return StratifiedMonoid.make(sn.cone, {f: wn_lattice(lat, char.p) for f, lat in sn.strata})
+
+
+def is_weakly_normal_inline(s: AffineMonoid, char) -> bool:
+    """Every candidate of `stratify_checked(s)` that it realizes is in S, and
+    every stratum is its own `wn_lattice`."""
+    sn = stratify_checked(s)
+    return (all(member(s, m) for m in _strata_candidates(sn) if sn.member(m))
+            and all(wn_lattice(lat, char.p) == lat for _f, lat in sn.strata))
+
+
+def is_seminormal_complex_facetwise(x) -> bool:
+    """Seminormality of the complex x, each facet monoid stratified again."""
+    return all(is_weakly_normal_inline(x.monoid_of(f), Characteristic(0)) for f in x.fan.facets)
+
+
+def is_weakly_normal_complex_by_lattice(x, char) -> bool:
+    """Seminormal facet by facet, and every cone's gp(S_c) its own `wn_lattice`."""
+    return is_seminormal_complex_facetwise(x) and all(
+        wn_lattice(monoid_gp(s), char.p) == monoid_gp(s) for _c, s in x.assignment)
 
 
 def locate_scan(c: Cone, m):

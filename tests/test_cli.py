@@ -15,6 +15,7 @@ import pytest
 import torf.cli
 import torf.complexes
 import torf.cones
+import torf.derham
 import torf.model
 import torf.monoids
 from torf.cli import _box, main
@@ -824,3 +825,31 @@ class TestModelExpandsFacetsOnly:
         face_facet_pairs = sum(len(faces(f)) - 1 for f in x.fan.facets)
         assert len(calls["face_restriction"]) == face_facet_pairs + len(covered) \
             == self.RESTRICTIONS[name]
+
+    @pytest.mark.parametrize("argv", [("classify", "--char", "2"), ("betti", "--theoretical")])
+    @pytest.mark.parametrize("name", ["p1-cubed", "p3"])
+    def test_verdicts_read_the_family(self, name, argv, capsys, monkeypatch):
+        """After validation the verdicts read the complex's own lattice family:
+        no facet is stratified again, no derived family is checked, and
+        `faces` lists the faces of facets only."""
+        x, _pairs = build_complex(parse_model((MODELS / f"{name}.json").read_text()))
+        calls = {"faces": [], "face_restriction": [], "check_family": [], "stratify": []}
+        monkeypatch.setattr(torf.monoids, "_GENERATED", {})
+        monkeypatch.setattr(torf.monoids, "_MEMBER_CACHE", {})
+        monkeypatch.setattr(torf.monoids, "monoid_cone",
+                            functools.lru_cache(maxsize=None)(torf.monoids.monoid_cone.__wrapped__))
+        fresh = functools.lru_cache(maxsize=None)(torf.complexes.is_seminormal_complex.__wrapped__)
+        for module in (torf.complexes, torf.derham):
+            monkeypatch.setattr(module, "is_seminormal_complex", fresh)
+        for module in (torf.cones, torf.monoids, torf.complexes, torf.model, torf.derham,
+                       torf.cli):
+            for fname, found in calls.items():
+                real = getattr(module, fname, None)
+                if real is not None:  # records the first argument
+                    monkeypatch.setattr(module, fname, lambda *a, real=real, found=found:
+                                        found.append(a[0]) or real(*a))
+        code, _out, err = run(capsys, *argv[:1], str(MODELS / f"{name}.json"), *argv[1:])
+        assert code == 0, err
+        assert set(calls["faces"]) <= set(x.fan.facets)
+        assert len(calls["face_restriction"]) == self.RESTRICTIONS[name]
+        assert calls["check_family"] == calls["stratify"] == []

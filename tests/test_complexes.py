@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,6 @@ from torf.cones import (
 )
 from torf.complexes import (
     RingElem,
-    _wn_family,
     classify,
     complex_from_lattice_family,
     complex_from_monoid_subfan,
@@ -64,19 +64,24 @@ from torf.derham import (
     pair_dims,
 )
 from torf.fixtures import fixture, fixture_names
-from torf.linalg import Sublattice
+from torf.linalg import Sublattice, lattice_index, saturate
+from torf.model import build_complex, parse_model
 from torf.monoids import (
     AffineMonoid,
     Characteristic,
     box_points,
+    check_family,
     face_restriction,
     member,
     monoid_cone,
     monoid_equal,
+    wn_family,
 )
 
 from reference import (
     complex_validate_all_pairs,
+    is_seminormal_complex_facetwise,
+    is_weakly_normal_complex_by_lattice,
     is_weakly_normal_facetwise,
     normalize_cone_by_cone,
     realize_cone_by_cone,
@@ -453,7 +458,7 @@ class TestAssemblyFromFacets:
         assert generator_tuples(sn_complex(x).assignment) == generator_tuples(want)
         for p in (2, 3):
             char = Characteristic(p)
-            want = realize_cone_by_cone(x.fan, _wn_family(x, char))
+            want = realize_cone_by_cone(x.fan, wn_family(classify(x), p))
             assert generator_tuples(wn_complex(x, char).assignment) == generator_tuples(want)
 
     @PROPERTY
@@ -472,6 +477,63 @@ class TestAssemblyFromFacets:
             mp.setattr(torf.complexes, "from_strata", lambda sm: calls.append(sm.cone) or real(sm))
             complex_from_lattice_family(x.fan, classify(x))
         assert calls == list(x.fan.facets)
+
+
+MODELS = Path(__file__).with_name("models")
+
+
+def model_complex(name):
+    return build_complex(parse_model((MODELS / f"{name}.json").read_text()))[0]
+
+
+class TestVerdictsReadTheFamily:
+    """The verdicts read the complex's own lattice family `classify(x)`: they
+    equal the verdicts that stratify every facet again, and the families that
+    no check runs on at run time pass `check_family`."""
+
+    def check(self, x):
+        family = classify(x)
+        check_family(x.fan, family)
+        assert is_seminormal_complex(x) == is_seminormal_complex_facetwise(x)
+        for p in (0, 2, 3, 5):
+            char = Characteristic(p)
+            check_family(x.fan, wn_family(family, p))
+            assert is_weakly_normal_complex(x, char) == is_weakly_normal_complex_by_lattice(x, char)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        self.check(fixture(name).complex)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.json")))
+    def test_models(self, name):
+        self.check(model_complex(name))
+
+    @PROPERTY
+    @given(monoid_complexes())
+    def test_random_complexes(self, x):
+        self.check(x)
+
+
+class TestWnFamilyContract:
+    """`wn_family(F, p)` is F exactly when p divides the index of no stratum
+    of F in its saturation."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    def check(self, x):
+        family = classify(x)
+        indices = [lattice_index(lat, saturate(lat)) for lat in family.values()]
+        for p in self.PRIMES:
+            assert (wn_family(family, p) == family) == all(i % p for i in indices), p
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        self.check(fixture(name).complex)
+
+    @PROPERTY
+    @given(monoid_complexes())
+    def test_random_complexes(self, x):
+        self.check(x)
 
 
 class TestFacetsDecideTheComplex:

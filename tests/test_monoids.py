@@ -57,10 +57,13 @@ from reference import (
     generates_by_dd,
     hilbert_basis_brute,
     hilbert_basis_by_simplex,
+    is_weakly_normal_inline,
     minors_gcd,
     points_by_simplex,
     sn_member_oracle,
     span_lattice,
+    stratify_checked,
+    weak_normalization_checked,
 )
 from test_complexes import monoid_complexes
 from test_cones import LINEALITY_EXAMPLE
@@ -767,6 +770,38 @@ class TestWeakNormalityProperties:
             assert all(member(big, g) for g in small.generators)
         assert weak_normalization(wn, char) == strat
         assert is_weakly_normal(s, char) == monoid_equal(wn, s)
+
+
+class TestFamiliesWithoutCheck:
+    """`stratify` and `weak_normalization` build their families without
+    `check_family`: they equal the families built through it, pass it as a
+    postcondition, and the verdict read off them is the one that stratified
+    and checked inline."""
+
+    def check(self, s):
+        strat = stratify(s)
+        assert strat == stratify_checked(s)
+        check_family(faces(strat.cone), dict(strat.strata))
+        for p in (0, 2, 3, 5):
+            char = Characteristic(p)
+            wn = weak_normalization(s, char)
+            assert wn == weak_normalization_checked(s, char)
+            check_family(faces(wn.cone), dict(wn.strata))
+            assert is_weakly_normal(s, char) == is_weakly_normal_inline(s, char)
+
+    @PROPERTY
+    @given(rank3_monoids())
+    def test_rank3_monoids(self, s):
+        self.check(s)
+
+    @PROPERTY
+    @given(small_monoids())
+    def test_small_monoids(self, s):
+        self.check(s)
+
+    @pytest.mark.parametrize("s", [PINCH, NSG23, NN], ids=["pinch", "nsg23", "nn"])
+    def test_examples(self, s):
+        self.check(s)
 
 
 class TestRelativeBudget:
