@@ -16,12 +16,12 @@ _EXPORTS = {name: module for module, names in (  # public name -> submodule
     ("errors", "TorfError"),
     ("linalg", "IntMatrix Sublattice"),
     ("cones", "Cone Fan cone_from_generators cone_from_h faces fan_validate"),
-    ("monoids", "AffineMonoid Characteristic StratifiedMonoid from_strata is_seminormal"
-                " is_weakly_normal member relative_sn relative_wn saturation"
-                " seminormalization stratify weak_normalization"),
+    ("monoids", "AffineMonoid Characteristic StratifiedMonoid from_strata member saturation"),
     ("complexes", "MonoidalComplex RingElem classify complex_from_lattice_family"
                   " complex_from_monoid_subfan complex_validate full_complex germ_at"
-                  " ring_mult sn_complex support_locate wn_complex"),
+                  " is_seminormal is_weakly_normal relative_sn relative_wn ring_mult"
+                  " seminormalization sn_complex stratify support_locate"
+                  " weak_normalization wn_complex"),
     ("derham", "BettiTable GradedForm betti differential fiber_complex"),
 ) for name in names.split()}
 

@@ -25,12 +25,11 @@ from .complexes import (
     is_seminormal_complex,
     is_weakly_normal_complex,
     orbits,
-    sn_complex,
     wn_complex,
 )
-from .linalg import lattice_index, saturate, vec_str
+from .linalg import vec_str
 from .model import build_complex, model_to_text, parse_model, serialize_model
-from .monoids import Characteristic
+from .monoids import Characteristic, stratum_index
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,12 +192,9 @@ def cmd_normalize(args, rep):
     doc = _load(args.file, rep)
     x, _pairs = build_complex(doc)
     char = Characteristic((args.char or [0])[0])
-    if args.mode == "wn":
-        y = wn_complex(x, char)
-        already = is_weakly_normal_complex(x, char)
-    else:
-        y = sn_complex(x)
-        already = is_seminormal_complex(x)
+    at = char if args.mode == "wn" else Characteristic(0)  # sn is wn at p = 0
+    y = wn_complex(x, at)
+    already = is_weakly_normal_complex(x, at)
     rep.results["mode"] = args.mode
     rep.results["char"] = str(char.p)
     rep.results["already_normal"] = already
@@ -219,14 +215,9 @@ def cmd_classify(args, rep):
     chars = args.char if args.char else [0, 2, 3, 5]
     family = classify(x)
     rows = []
-    for c in sorted(family, key=lambda c: c.sort_key()):
-        lat = family[c]
-        idx = lattice_index(lat, saturate(lat))
-        rows.append({
-            "cone": _cone_json(c),
-            "basis": _lattice_json(lat),
-            "index": str(idx) if idx is not None else "infinite",
-        })
+    for c, lat in sorted(family.items(), key=lambda item: item[0].sort_key()):
+        idx = stratum_index(lat)
+        rows.append({"cone": _cone_json(c), "basis": _lattice_json(lat), "index": str(idx)})
         rep.line(f"  {c}: index {idx}, basis "
                  + (", ".join(vec_str(b) for b in lat.basis_vectors()) or "0"))
     rep.results["family"] = rows

@@ -4,6 +4,10 @@ A monoidal complex is a fan together with one affine monoid per cone,
 compatible along faces.  The associated ring has one basis element per
 support degree, with the truncated multiplication rule: a product of two
 monomials survives exactly when both degrees live in a common cone monoid.
+
+Each verdict and normalization has one body here, on the lattice family
+`classify(x)`, with characteristic 0 as p = 0.  An affine monoid S is its
+one-facet complex, on the face fan of cone(S) (`complex_from_monoid_subfan`).
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from .monoids import (
     monoid_cone,
     monoid_gp,
     realizes,
+    relative_extract,
+    stratum_index,
     wn_family,
 )
 from .values import value
@@ -114,9 +120,12 @@ def full_complex(fan: Fan) -> MonoidalComplex:
         f: AffineMonoid.make(n, cone_lattice_generators(f)) for f in fan.facets})
 
 
-def complex_from_monoid_subfan(s: AffineMonoid, subfan: Fan) -> MonoidalComplex:
-    """Restrict a single monoid to a subfan of its cone's face fan."""
+def complex_from_monoid_subfan(s: AffineMonoid, subfan: Fan = None) -> MonoidalComplex:
+    """Restrict a single monoid to a subfan of its cone's face fan, by default
+    the whole face fan: S as its one-facet complex."""
     big = monoid_cone(s)
+    if subfan is None:
+        subfan = face_fan_closure(s.ambient_rank, [big])
     for c in subfan:
         if not is_face_of(c, big):
             raise NotASubfan(f"cone {c} is not a face of the monoid cone")
@@ -242,17 +251,17 @@ def components(x: MonoidalComplex):
 
 
 # ---------------------------------------------------------------------------
-# complex-level normalization and classification
+# normalization and classification, of a complex and of a monoid as its one-facet complex
 
 
 def sn_complex(x: MonoidalComplex) -> MonoidalComplex:
-    """Seminormalization: the complex that realizes the lattice family of x
-    (by face compatibility, gp(S_sigma intersect F) = gp(S_F) on each face F)."""
-    return _realize(x.fan, classify(x))
+    """Seminormalization: the weak normalization at p = 0, realizing the family of x."""
+    return wn_complex(x, Characteristic(0))
 
 
 def wn_complex(x: MonoidalComplex, char: Characteristic) -> MonoidalComplex:
-    """Weak normalization: the complex that realizes the p-saturated family."""
+    """Weak normalization: the complex that realizes the p-saturated family
+    (by face compatibility, gp(S_sigma intersect F) = gp(S_F) on each face F)."""
     return _realize(x.fan, wn_family(classify(x), char.p))
 
 
@@ -263,8 +272,9 @@ def is_seminormal_complex(x: MonoidalComplex) -> bool:
 
 
 def is_weakly_normal_complex(x: MonoidalComplex, char: Characteristic) -> bool:
-    """Seminormal, and the family of x is its own `wn_family`."""
-    return is_seminormal_complex(x) and wn_family(classify(x), char.p) == classify(x)
+    """Seminormal, and its family is its own `wn_family`: p divides no `stratum_index`."""
+    return is_seminormal_complex(x) and all(
+        char.p == 0 or stratum_index(lat) % char.p for lat in classify(x).values())
 
 
 def classify(x: MonoidalComplex):
@@ -294,6 +304,40 @@ def complex_from_lattice_family(fan: Fan, family) -> MonoidalComplex:
     """Inverse of classify on seminormal complexes, for a family from outside."""
     check_family(fan, family)
     return _realize(fan, family)
+
+
+def weak_normalization(s: AffineMonoid, char: Characteristic) -> StratifiedMonoid:
+    """The family of S's one-facet complex, p-saturated by `wn_family`."""
+    x = complex_from_monoid_subfan(s)
+    return _facet_strata(x.fan, wn_family(classify(x), char.p))[monoid_cone(s)]
+
+
+def stratify(s: AffineMonoid) -> StratifiedMonoid:
+    """The family gp(S intersect F) on the faces F of cone(S): weak normalization at p = 0."""
+    return weak_normalization(s, Characteristic(0))
+
+
+seminormalization = stratify
+
+
+def is_weakly_normal(s: AffineMonoid, char: Characteristic) -> bool:
+    """Whether S's one-facet complex is weakly normal at p."""
+    return is_weakly_normal_complex(complex_from_monoid_subfan(s), char)
+
+
+def is_seminormal(s: AffineMonoid) -> bool:
+    """S equals its seminormalization: weakly normal at p = 0."""
+    return is_weakly_normal(s, Characteristic(0))
+
+
+def relative_wn(s: AffineMonoid, sp: AffineMonoid, char: Characteristic) -> AffineMonoid:
+    """Weak normalization of S inside a finite extension S'."""
+    return relative_extract(s, sp, weak_normalization(s, char))
+
+
+def relative_sn(s: AffineMonoid, sp: AffineMonoid) -> AffineMonoid:
+    """Seminormalization of S inside a finite extension S': p = 0."""
+    return relative_wn(s, sp, Characteristic(0))
 
 
 # ---------------------------------------------------------------------------

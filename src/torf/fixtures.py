@@ -49,12 +49,12 @@ def _boundary_fan(x: MonoidalComplex) -> Fan:
 
 def _pinch() -> MonoidalComplex:
     s = AffineMonoid.make(2, [(2, 0), (0, 1), (1, 1)])
-    return complex_from_monoid_subfan(s, face_fan_closure(2, [monoid_cone(s)]))
+    return complex_from_monoid_subfan(s)
 
 
 def _numeric_semigroup(gens) -> MonoidalComplex:
     s = AffineMonoid.make(1, [(g,) for g in gens])
-    return complex_from_monoid_subfan(s, face_fan_closure(1, [monoid_cone(s)]))
+    return complex_from_monoid_subfan(s)
 
 
 def _normal_crossings(q, d) -> MonoidalComplex:

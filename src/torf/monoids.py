@@ -1,11 +1,12 @@
-"""Affine monoids: membership, saturation, seminormalization, weak
-normalization, and the face-indexed sublattice classification.
+"""Affine monoids: membership, saturation, stratified monoids and the
+lattice machinery of their normalizations.
 
 An AffineMonoid is a finitely generated sub-semigroup of Z^n that always
 contains 0 (the unital convention; 0 is implicit and never stored).  The
 stratified form trades the generator description for one sublattice per
 face of the cone, realized as the disjoint union of each lattice with the
-relative interior of its face.
+relative interior of its face.  The verdicts and normalizations, of a monoid
+too, are in `complexes`; they read `realizes`, `wn_family` and `stratum_index`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .linalg import (
     kernel_cols,
     lattice_contains,
     lattice_coords,
+    lattice_index,
     member_lattice,
     saturate,
     snf,
@@ -354,16 +356,6 @@ class StratifiedMonoid:
         return f is not None and member_lattice(self.lattice_of(f), m)
 
 
-def stratify(s: AffineMonoid) -> StratifiedMonoid:
-    """The family gp(S intersect F) on the faces F of cone(S), realizing the
-    seminormalization of S; no `check_family`, as S intersect F generates F."""
-    c = monoid_cone(s)
-    return StratifiedMonoid(c, tuple((f, monoid_gp(face_restriction(s, f))) for f in faces(c)))
-
-
-seminormalization = stratify
-
-
 def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
     """All x in sup with p^e x in sub for some e >= 0 (sub of finite index in sup)."""
     if sub.rank == 0:
@@ -382,10 +374,10 @@ def wn_family(family, p: int):
     return family if p == 0 else {f: _p_saturation(L, saturate(L), p) for f, L in family.items()}
 
 
-def weak_normalization(s: AffineMonoid, char: Characteristic) -> StratifiedMonoid:
-    """The strata of `stratify(s)`, p-saturated by `wn_family` (the same at p = 0)."""
-    sn = stratify(s)
-    return StratifiedMonoid(sn.cone, tuple(wn_family(dict(sn.strata), char.p).items()))
+def stratum_index(lat: Sublattice) -> int:
+    """[Z^n intersect span L : L], the index of a stratum in the frame that
+    `wn_family` p-saturates it in; that changes L exactly when p divides it."""
+    return lattice_index(lat, saturate(lat))
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +452,9 @@ def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
     return extract_generators(strat.cone, strat.member, group, _strata_candidates(strat))
 
 
-def is_seminormal(s: AffineMonoid) -> bool:
-    """S equals its seminormalization, which is its weak normalization at p = 0."""
-    return is_weakly_normal(s, Characteristic(0))
-
-
 def realizes(s: AffineMonoid, strat: StratifiedMonoid) -> bool:
     """Every candidate of `strat` that it realizes is in S; on S's own family, seminormality."""
     return all(member(s, m) for m in _strata_candidates(strat) if strat.member(m))
-
-
-def is_weakly_normal(s: AffineMonoid, char: Characteristic) -> bool:
-    """S `realizes` sn(S), so is seminormal, and sn(S)'s family is its own `wn_family`."""
-    sn = stratify(s)
-    return realizes(s, sn) and wn_family(dict(sn.strata), char.p) == dict(sn.strata)
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +467,6 @@ def _lattice_intersection(a: Sublattice, b: Sublattice) -> Sublattice:
                                   nrows=a.ambient_rank)
     return Sublattice.from_generators(
         a.ambient_rank, [a.basis.mul_vec(k[:a.rank]) for k in kernel_cols(stacked).col_list()])
-
-
-def _relative_precheck(s: AffineMonoid, sp: AffineMonoid):
-    if s.ambient_rank != sp.ambient_rank:
-        raise DimensionMismatch("ambient ranks differ")
-    for g in s.generators:
-        if not member(sp, g):
-            raise NotFiniteExtension("S is not contained in S'")
-    cone = monoid_cone(s)
-    for g in sp.generators:
-        if not cone.contains(g):
-            raise NotFiniteExtension(
-                f"generator {g} of S' has no positive multiple in S"
-            )
 
 
 def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
@@ -543,26 +510,22 @@ def _relative_candidates(s: AffineMonoid, sp: AffineMonoid, group: Sublattice):
     return {vec_add(e, t) for e in spread for t in sums}
 
 
-def _relative_extract(s, sp, strat):
+def relative_extract(s: AffineMonoid, sp: AffineMonoid, strat: StratifiedMonoid) -> AffineMonoid:
+    """S' intersect the set that `strat` realizes, for a finite extension S' of
+    S and strat a stratified monoid on cone(S) that contains S."""
+    if s.ambient_rank != sp.ambient_rank:
+        raise DimensionMismatch("ambient ranks differ")
+    for g in s.generators:
+        if not member(sp, g):
+            raise NotFiniteExtension("S is not contained in S'")
     cone = monoid_cone(s)
+    for g in sp.generators:
+        if not cone.contains(g):
+            raise NotFiniteExtension(f"generator {g} of S' has no positive multiple in S")
     minf = faces(cone)[0]
-    group = _lattice_intersection(
-        monoid_gp(face_restriction(sp, minf)), strat.lattice_of(minf)
-    )
+    group = _lattice_intersection(monoid_gp(face_restriction(sp, minf)), strat.lattice_of(minf))
 
     def member_fn(m):
         return member(sp, m) and strat.member(m)
 
     return extract_generators(cone, member_fn, group, _relative_candidates(s, sp, group))
-
-
-def relative_sn(s: AffineMonoid, sp: AffineMonoid) -> AffineMonoid:
-    """Seminormalization of S inside a finite extension S'."""
-    _relative_precheck(s, sp)
-    return _relative_extract(s, sp, stratify(s))
-
-
-def relative_wn(s: AffineMonoid, sp: AffineMonoid, char: Characteristic) -> AffineMonoid:
-    """Weak normalization of S inside a finite extension S'."""
-    _relative_precheck(s, sp)
-    return _relative_extract(s, sp, weak_normalization(s, char))

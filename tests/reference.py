@@ -26,6 +26,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+from torf.complexes import is_weakly_normal, stratify, weak_normalization
 from torf.cones import (
     Cone,
     _cone,
@@ -67,12 +68,9 @@ from torf.monoids import (
     face_restriction,
     from_strata,
     generates,
-    is_weakly_normal,
     member,
     monoid_cone,
     monoid_gp,
-    stratify,
-    weak_normalization,
 )
 
 

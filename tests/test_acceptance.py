@@ -14,7 +14,9 @@ from torf.complexes import (
     in_support,
     is_seminormal_complex,
     is_weakly_normal_complex,
+    relative_wn,
     sn_complex,
+    stratify,
     subcomplex,
     support_box,
     wn_complex,
@@ -45,8 +47,6 @@ from torf.monoids import (
     from_strata,
     member,
     monoid_equal,
-    relative_wn,
-    stratify,
 )
 from reference import sn_member_oracle
 

@@ -26,6 +26,8 @@ from torf.fixtures import broken_fixture_names, fixture_names
 from torf.model import SCHEMA, build_complex, parse_model
 from torf.monoids import AffineMonoid
 
+from test_package import fresh
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -782,6 +784,27 @@ class TestGoldenOutput:
     def test_model_stdout_digest(self, name, command):
         key, digest = golden_digest(MODELS, name, command)
         assert digest == CLI_DIGESTS[key]
+
+
+class TestOneSaturationPass:
+    """`normalize --mode wn` p-saturates each stratum once, in `wn_complex`;
+    its verdict reads `stratum_index`.  Counted in a fresh interpreter, and
+    the output is the golden one."""
+
+    def test_p1_cubed(self):
+        path, command = str(MODELS / "p1-cubed.json"), ("normalize", "--mode", "wn", "--char", "2")
+        script = ("import contextlib, io, json\nimport torf.monoids\nfrom torf.cli import main\n"
+                  "calls, real = [], torf.monoids._p_saturation\n"
+                  "torf.monoids._p_saturation = lambda *a: calls.append(a) or real(*a)\n"
+                  "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                  f"    code = main([{command[0]!r}, {path!r}, *{command[1:]!r}, '--format', 'machine'])\n"
+                  "print(json.dumps([code, len(calls), out.getvalue()]))")
+        code, calls, out = fresh(script)
+        x, _pairs = build_complex(parse_model((MODELS / "p1-cubed.json").read_text()))
+        assert code == 0
+        assert calls == len(x.fan.cones) == 27
+        key = " ".join((command[0], "p1-cubed") + command[1:])
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[key]
 
 
 class TestModelExpandsFacetsOnly:

@@ -64,7 +64,7 @@ from torf.derham import (
     pair_dims,
 )
 from torf.fixtures import fixture, fixture_names
-from torf.linalg import Sublattice, lattice_index, saturate
+from torf.linalg import Sublattice
 from torf.model import build_complex, parse_model
 from torf.monoids import (
     AffineMonoid,
@@ -75,6 +75,7 @@ from torf.monoids import (
     member,
     monoid_cone,
     monoid_equal,
+    stratum_index,
     wn_family,
 )
 
@@ -83,11 +84,13 @@ from reference import (
     is_seminormal_complex_facetwise,
     is_weakly_normal_complex_by_lattice,
     is_weakly_normal_facetwise,
+    is_weakly_normal_inline,
     normalize_cone_by_cone,
     realize_cone_by_cone,
     saturated_by_cone,
     span_lattice,
 )
+from test_package import fresh
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
@@ -515,14 +518,14 @@ class TestVerdictsReadTheFamily:
 
 
 class TestWnFamilyContract:
-    """`wn_family(F, p)` is F exactly when p divides the index of no stratum
-    of F in its saturation."""
+    """`wn_family(F, p)` is F exactly when p divides no `stratum_index` of F,
+    the index of a stratum in its saturation."""
 
     PRIMES = (2, 3, 5, 7, 11, 13)
 
     def check(self, x):
         family = classify(x)
-        indices = [lattice_index(lat, saturate(lat)) for lat in family.values()]
+        indices = [stratum_index(lat) for lat in family.values()]
         for p in self.PRIMES:
             assert (wn_family(family, p) == family) == all(i % p for i in indices), p
 
@@ -534,6 +537,40 @@ class TestWnFamilyContract:
     @given(monoid_complexes())
     def test_random_complexes(self, x):
         self.check(x)
+
+
+class TestOneVerdictPath:
+    """A monoid's verdicts are those of its one-facet complex: they share the
+    memo of `is_seminormal_complex`, and weak normality reads `stratum_index`
+    without p-saturating.  Counted in a fresh interpreter, so that no earlier
+    test has filled the memo, on the 7-umbrella <(7,0), (0,1), (1,1), ..., (6,1)>,
+    which is seminormal and weakly normal at every p but 7."""
+
+    UMBRELLA = AffineMonoid.make(2, [(7, 0)] + [(i, 1) for i in range(7)])
+    PRIMES = (0, 2, 3, 5, 7)
+
+    def test_seven_umbrella(self):
+        script = ("import json, sys\n"
+                  "from torf.complexes import is_seminormal, is_weakly_normal\n"
+                  "from torf.monoids import AffineMonoid, Characteristic\n"
+                  "calls = {'realizes': 0, '_p_saturation': 0}\n"
+                  "for name in calls:  # in every torf module that holds it\n"
+                  "    real = getattr(sys.modules['torf.monoids'], name)\n"
+                  "    def counted(*a, name=name, real=real):\n"
+                  "        calls[name] += 1\n"
+                  "        return real(*a)\n"
+                  "    for m in [m for k, m in sys.modules.items() if k.startswith('torf.')]:\n"
+                  "        if getattr(m, name, None) is real:\n"
+                  "            setattr(m, name, counted)\n"
+                  f"s = AffineMonoid.make(2, {list(self.UMBRELLA.generators)!r})\n"
+                  "verdicts = [is_seminormal(s)]\n"
+                  f"verdicts += [is_weakly_normal(s, Characteristic(p)) for p in {self.PRIMES!r}]\n"
+                  "print(json.dumps([verdicts, calls]))")
+        verdicts, calls = fresh(script)
+        assert verdicts == [True, True, True, True, True, False]
+        assert verdicts == [is_weakly_normal_inline(self.UMBRELLA, Characteristic(p))
+                            for p in (0,) + self.PRIMES]
+        assert calls == {"realizes": 1, "_p_saturation": 0}
 
 
 class TestFacetsDecideTheComplex:

@@ -2,6 +2,7 @@
 benchmark's trace reads, and the value classes measured against the
 `dataclasses` behaviour they replace."""
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -15,12 +16,13 @@ from pathlib import Path
 import pytest
 
 from torf.cli import main
+from torf.complexes import stratify
 from torf.cones import cone_from_generators
 from torf.errors import DimensionMismatch
 from torf.fixtures import broken_fixture_names, fixture_names
 from torf.linalg import IntMatrix, Sublattice
 from torf.model import ModelDoc
-from torf.monoids import AffineMonoid, Characteristic, stratify
+from torf.monoids import AffineMonoid, Characteristic
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
@@ -145,6 +147,25 @@ class TestTracedNames:
                 "print(json.dumps(layer_metrics(merge([tracer.snapshot()]))))")
         metrics = fresh(code)
         assert metrics and [k for k, v in metrics.items() if v is None] == []
+
+
+class TestLayering:
+    """Each layer loads, and names in its imports, no torf module of a later
+    layer: linalg, cones, monoids, complexes, derham, then model, fixtures and
+    cli.  The imports are read from the source too, so a lazy one inside a
+    function counts."""
+
+    LAYERS = ("linalg", "cones", "monoids", "complexes", "derham")
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_no_later_layer(self, layer):
+        later = self.LAYERS[self.LAYERS.index(layer) + 1:] + ("model", "fixtures", "cli")
+        loaded = fresh(f"import json, sys, torf.{layer}\n"
+                       f"print(json.dumps([m for m in {later!r} if 'torf.' + m in sys.modules]))")
+        tree = ast.parse(Path(SRC, "torf", f"{layer}.py").read_text())
+        named = [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in later]
+        assert loaded == named == []
 
 
 class TestConstructionCount:
