@@ -125,7 +125,8 @@ def _build_parser():
         "validate", "normalize", "classify", "orbits", "betti",
         "germ", "forms", "fixtures",
     ])
-    p.add_argument("file", nargs="?", help="model file, '-' for stdin, or fixture name")
+    p.add_argument("file", nargs="?",
+                   help="model file or '-' for stdin; for fixtures, a fixture name")
     p.add_argument("--mode", choices=["sn", "wn"], default="sn")
     p.add_argument("--char", action="append", type=_integer(Characteristic), default=None,
                    help="characteristic (repeatable for classify)")

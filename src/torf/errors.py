@@ -9,10 +9,6 @@ class DimensionMismatch(TorfError):
     pass
 
 
-class NotASublattice(TorfError):
-    pass
-
-
 class NotAFace(TorfError):
     pass
 

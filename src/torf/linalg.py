@@ -21,7 +21,7 @@ from itertools import repeat
 from math import gcd
 from operator import add, mul, neg, sub
 
-from .errors import DimensionMismatch, NotASublattice
+from .errors import DimensionMismatch
 from .values import value
 
 
@@ -407,39 +407,24 @@ def member_lattice(lat: Sublattice, v) -> bool:
     return lattice_coords(lat, v) is not None
 
 
-def lattice_index(sub: Sublattice, sup: Sublattice):
-    """Index [sup : sub] as a positive integer, or None for infinite index.
-
-    Raises NotASublattice when some basis vector of `sub` is not in `sup`.
-    """
-    if sub.ambient_rank != sup.ambient_rank:
-        raise DimensionMismatch("ambient ranks differ")
-    coords = []
-    for v in sub.basis_vectors():
-        y = lattice_coords(sup, v)
-        if y is None:
-            raise NotASublattice(f"{v} is not in the claimed superlattice")
-        coords.append(y)
-    if sub.rank < sup.rank:
-        return None
-    # containment plus equal rank forces a square inclusion matrix
-    incl = IntMatrix.from_cols(coords, nrows=sup.rank)
-    d = det(incl)
-    assert d != 0, "independent columns cannot have a singular inclusion matrix"
-    return abs(d)
+def smith_columns(lat: Sublattice):
+    """The Smith diagonal d of lat's basis B (U B V = D) and the columns of
+    B V.  As B V = U^-1 D, column i is d_i times the i-th column of U^-1:
+    those columns are a basis of the saturation Z^n intersect span(lat), and
+    (its saturation)/lat has invariant factors d."""
+    d, _u, v = snf(lat.basis)
+    return [d.entry(i, i) for i in range(lat.rank)], lat.basis.mul(v).col_list()
 
 
 def saturate(lat: Sublattice) -> Sublattice:
-    """Smallest sublattice containing `lat` with torsion-free quotient on its span."""
+    """Z^n intersect span(lat): the columns of `smith_columns` divided by d_i."""
     n = lat.ambient_rank
     if lat.rank == 0:
         return lat
     if lat.rank == n:
         return Sublattice.full(n)
-    # covectors vanishing on span(lat), then their common kernel
-    perp = kernel_cols(lat.basis.transpose())  # n x k
-    sat = kernel_cols(perp.transpose())  # n x rank
-    return Sublattice.from_generators(n, sat.col_list())
+    d, cols = smith_columns(lat)
+    return Sublattice.from_generators(n, [tuple(x // di for x in c) for di, c in zip(d, cols)])
 
 
 def lattice_contains(big: Sublattice, small: Sublattice) -> bool:

@@ -30,9 +30,9 @@ from .linalg import (
     kernel_cols,
     lattice_contains,
     lattice_coords,
-    lattice_index,
     member_lattice,
     saturate,
+    smith_columns,
     snf,
     vec_add,
     vec_dot,
@@ -356,28 +356,28 @@ class StratifiedMonoid:
         return f is not None and member_lattice(self.lattice_of(f), m)
 
 
-def _p_saturation(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
-    """All x in sup with p^e x in sub for some e >= 0 (sub of finite index in sup)."""
-    if sub.rank == 0:
-        return sub
-    d, _u, v = snf(_coords_matrix(sup, sub.basis_vectors()))
-    frame = sub.basis.mul(v)  # columns d_i e_i, with e_i a basis of sup
-    # divide column i by the p-part of d_i (p^e divides d_i only for e < bit length)
-    pparts = [gcd(d.entry(i, i), p ** d.entry(i, i).bit_length()) for i in range(sub.rank)]
-    gens = [tuple(x // pe for x in frame.col(i)) for i, pe in enumerate(pparts)]
-    return Sublattice.from_generators(sup.ambient_rank, gens)
+def _p_saturation(lat: Sublattice, p: int) -> Sublattice:
+    """All x in Z^n intersect span(lat) with p^e x in lat for some e >= 0:
+    each column of `smith_columns` divided by the p-part of its d_i (p^e
+    divides d_i only for e < bit length)."""
+    d, cols = smith_columns(lat)
+    pparts = [gcd(di, p ** di.bit_length()) for di in d]
+    return Sublattice.from_generators(
+        lat.ambient_rank, [tuple(x // pe for x in c) for pe, c in zip(pparts, cols)])
 
 
 def wn_family(family, p: int):
     """The family (face -> stratum) of the weak normalization at p: each stratum
     p-saturated inside Z^n intersect its span, which keeps the family valid."""
-    return family if p == 0 else {f: _p_saturation(L, saturate(L), p) for f, L in family.items()}
+    return family if p == 0 else {f: _p_saturation(L, p) for f, L in family.items()}
 
 
+@lru_cache(maxsize=None)
 def stratum_index(lat: Sublattice) -> int:
-    """[Z^n intersect span L : L], the index of a stratum in the frame that
-    `wn_family` p-saturates it in; that changes L exactly when p divides it."""
-    return lattice_index(lat, saturate(lat))
+    """[Z^n intersect span L : L], the product of the Smith diagonal of L's
+    basis: the index in the frame that `wn_family` p-saturates L in, which
+    changes L exactly when p divides it."""
+    return prod(smith_columns(lat)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ on the facets and their faces.  `stratify_checked`, `wn_lattice`,
 `is_seminormal_complex_facetwise` and `is_weakly_normal_complex_by_lattice`
 are the verdicts that reading a complex's own lattice family replaced: each
 facet stratified again, every family run through `check_family`, and the
-p-saturation written out per stratum.
+p-saturation written out per stratum.  `saturate_by_kernels`,
+`lattice_index` (with `NotASublattice`) and `p_saturation_in` are the
+saturation, the index and the p-saturation that one Smith form of a
+lattice's basis (`linalg.smith_columns`) replaced: two kernel passes, a
+determinant of coordinates, and the Smith form of coordinates in a given
+superlattice.
 """
 
 import itertools
@@ -42,10 +47,13 @@ from torf.errors import (
     ConeNotInFan,
     DimensionMismatch,
     GenerationFailure,
+    TorfError,
 )
 from torf.linalg import (
     IntMatrix,
     Sublattice,
+    det,
+    kernel_cols,
     lattice_contains,
     lattice_coords,
     saturate,
@@ -59,7 +67,6 @@ from torf.monoids import (
     AffineMonoid,
     Characteristic,
     StratifiedMonoid,
-    _p_saturation,
     _simplices,
     _smith_solve,
     _strata_candidates,
@@ -238,10 +245,57 @@ def stratify_checked(s: AffineMonoid) -> StratifiedMonoid:
     return StratifiedMonoid.make(c, {f: monoid_gp(face_restriction(s, f)) for f in faces(c)})
 
 
+class NotASublattice(TorfError):
+    pass
+
+
+def saturate_by_kernels(lat: Sublattice) -> Sublattice:
+    """Z^n intersect span(lat) as the common kernel of the covectors that
+    vanish on lat: two kernel passes."""
+    n = lat.ambient_rank
+    if lat.rank == 0:
+        return lat
+    if lat.rank == n:
+        return Sublattice.full(n)
+    perp = kernel_cols(lat.basis.transpose())  # n x k
+    sat = kernel_cols(perp.transpose())  # n x rank
+    return Sublattice.from_generators(n, sat.col_list())
+
+
+def lattice_index(sub: Sublattice, sup: Sublattice):
+    """Index [sup : sub] as a positive integer, or None for infinite index:
+    the determinant of sub's basis in sup's coordinates.  Raises
+    NotASublattice when some basis vector of `sub` is not in `sup`."""
+    if sub.ambient_rank != sup.ambient_rank:
+        raise DimensionMismatch("ambient ranks differ")
+    coords = []
+    for v in sub.basis_vectors():
+        y = lattice_coords(sup, v)
+        if y is None:
+            raise NotASublattice(f"{v} is not in the claimed superlattice")
+        coords.append(y)
+    if sub.rank < sup.rank:
+        return None
+    return abs(det(IntMatrix.from_cols(coords, nrows=sup.rank)))
+
+
+def p_saturation_in(sub: Sublattice, sup: Sublattice, p: int) -> Sublattice:
+    """All x in sup with p^e x in sub for some e >= 0 (sub of finite index in
+    sup), from the Smith form of sub's coordinates in sup's basis."""
+    if sub.rank == 0:
+        return sub
+    d, _u, v = snf(IntMatrix.from_cols([lattice_coords(sup, b) for b in sub.basis_vectors()],
+                                       nrows=sup.rank))
+    frame = sub.basis.mul(v)  # columns d_i e_i, with e_i a basis of sup
+    pparts = [gcd(d.entry(i, i), p ** d.entry(i, i).bit_length()) for i in range(sub.rank)]
+    gens = [tuple(x // pe for x in frame.col(i)) for i, pe in enumerate(pparts)]
+    return Sublattice.from_generators(sup.ambient_rank, gens)
+
+
 def wn_lattice(lat: Sublattice, p: int) -> Sublattice:
     """The p-saturation of one stratum inside Z^n intersect its span; `lat`
     itself when p is 0."""
-    return lat if p == 0 else _p_saturation(lat, saturate(lat), p)
+    return lat if p == 0 else p_saturation_in(lat, saturate_by_kernels(lat), p)
 
 
 def weak_normalization_checked(s: AffineMonoid, char) -> StratifiedMonoid:

@@ -481,6 +481,17 @@ class TestArguments:
         assert err.count("\n") == 1 and err.startswith("torf: ")
         assert needle in err
 
+    def test_file_is_a_path_except_for_fixtures(self, capsys, monkeypatch, tmp_path):
+        # only `fixtures` takes a name; the help says so, and a name elsewhere is a path
+        monkeypatch.chdir(tmp_path)
+        code, out, _err = run(capsys, "--help")
+        assert code == 0
+        out = " ".join(out.split())
+        assert "model file or '-' for stdin; for fixtures, a fixture name" in out
+        code, out, err = run(capsys, "validate", "pinch")
+        assert (code, out) == (1, "")
+        assert err.startswith("torf: cannot read pinch")
+
     @pytest.mark.parametrize("argv", [
         ("classify", "--char", "2", "--char", "3"),
         ("normalize", "--mode", "wn", "--char", "2", "--format", "machine"),
@@ -805,6 +816,31 @@ class TestOneSaturationPass:
         assert calls == len(x.fan.cones) == 27
         key = " ".join((command[0], "p1-cubed") + command[1:])
         assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[key]
+
+
+class TestOneSmithFormPerStratum:
+    """`classify` takes each stratum's index once, from one Smith form of its
+    basis, for the index column and every p it decides: `stratum_index` is
+    memoized by the lattice, so strata equal as lattices share it.  Counted
+    in a fresh interpreter, and the output is the golden one."""
+
+    def test_p1_cubed(self):
+        path = str(MODELS / "p1-cubed.json")
+        script = ("import contextlib, io, json, sys\nfrom torf.cli import main\n"
+                  "calls, real = [], sys.modules['torf.linalg'].smith_columns\n"
+                  "for m in [m for k, m in sys.modules.items() if k.startswith('torf.')]:\n"
+                  "    if getattr(m, 'smith_columns', None) is real:\n"
+                  "        m.smith_columns = lambda lat: calls.append(lat) or real(lat)\n"
+                  "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                  f"    code = main(['classify', {path!r}, '--format', 'machine'])\n"
+                  "print(json.dumps([code, len(calls), len(set(calls)), out.getvalue()]))")
+        code, calls, distinct, out = fresh(script)
+        x, _pairs = build_complex(parse_model((MODELS / "p1-cubed.json").read_text()))
+        strata = torf.complexes.classify(x).values()
+        assert code == 0
+        assert calls == distinct == len(set(strata)) == 10
+        assert len(strata) == 27
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS["classify p1-cubed"]
 
 
 class TestModelExpandsFacetsOnly:

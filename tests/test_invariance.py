@@ -1,5 +1,6 @@
 """The answers that do not depend on coordinates stay the same when a model is
-moved by an element of GL_n(Z)."""
+moved by an element of GL_n(Z), and the ones that do move with it: the
+normalized complexes and the form dimensions by degree."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from torf.cli import main
 from torf.fixtures import fixture_names
+from torf.linalg import Sublattice, member_lattice
 
 from reference import transform_model
 
@@ -115,3 +117,78 @@ class TestUnimodularInvariance:
         ops = data.draw(st.lists(elementary(n), min_size=1, max_size=4), label="ops")
         moved = json.dumps(transform_model(doc, product(n, ops)))
         assert invariants(moved) == invariants(text)
+
+
+def inverse(ops):
+    """The elementary operations whose product is the inverse of `product(n, ops)`."""
+    return [(kind, i, j, -c if kind == "add" else c) for kind, i, j, c in reversed(ops)]
+
+
+def move(u, v):
+    return tuple(sum(a * int(x) for a, x in zip(row, v)) for row in u)
+
+
+def normalized(results, u):
+    """A `normalize` result with every vector moved by u, as a set that no
+    canonical order enters: per cone, its rays, the lattice of its lineality,
+    the lattice of the generators in that lineality, the other generators, and
+    each stratum as (face, lattice).  A cone with a lineality has no rays in the
+    fixtures, so the generators outside it are the unique Hilbert basis."""
+    n = len(u)
+
+    def lattice(vectors):
+        return Sublattice.from_generators(n, [move(u, v) for v in vectors])
+
+    def face(c):
+        return frozenset(move(u, r) for r in c["rays"]), lattice(c["lineality"])
+
+    strata = {face(row["cone"]): frozenset((face(s["face"]), lattice(s["basis"]))
+                                           for s in row["strata"])
+              for row in results["strata"]}
+    out = set()
+    for row in results["cones"]:
+        key = face(row["cone"])
+        gens = [move(u, g) for g in row["generators"]]
+        units = [g for g in gens if member_lattice(key[1], g)]
+        assert not (units and key[0]), "a cone with both rays and units"
+        out.add((key, Sublattice.from_generators(n, units),
+                 frozenset(set(gens) - set(units)), strata[key]))
+    return out
+
+
+def form_dims(text, p, box):
+    """Degree -> dimension of the p-forms, from `forms --box`."""
+    code, results = run_text(text, "forms", "--box", str(box), "--p", str(p))
+    assert code == 0
+    return {tuple(int(x) for x in m.strip("()").split(",") if x.strip()): int(d)
+            for m, d in results["per_degree"].items()}
+
+
+class TestUnimodularEquivariance:
+    """`normalize` (sn, and wn at 2) maps by U, and the `forms --box 2`
+    dimension at U m is the dimension at m."""
+
+    NORMALIZE = (("normalize",), ("normalize", "--mode", "wn", "--char", "2"))
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_fixture(self, name, data):
+        text = fixture_text(name)
+        doc = json.loads(text)
+        n = int(doc["ambient_rank"])
+        ops = data.draw(st.lists(elementary(n), min_size=1, max_size=2), label="ops")
+        u = product(n, ops)
+        identity = product(n, [])
+        moved = json.dumps(transform_model(doc, u))
+        for argv in self.NORMALIZE:
+            (code, got), (code0, want) = run_text(moved, *argv), run_text(text, *argv)
+            assert code == code0 == 0
+            assert got["already_normal"] == want["already_normal"]
+            assert normalized(got, identity) == normalized(want, u), argv
+        p = data.draw(st.integers(0, n), label="p")
+        box = 2 * max(sum(map(abs, row)) for row in u)  # holds U m for m in box 2
+        back = product(n, inverse(ops))
+        want = {move(u, m): d for m, d in form_dims(text, p, 2).items()}
+        got = form_dims(moved, p, box)
+        assert {m: d for m, d in got.items() if max(map(abs, move(back, m)), default=0) <= 2} == want

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from torf.errors import DimensionMismatch, NotASublattice
+from torf.errors import DimensionMismatch
 from torf.linalg import (
     IntMatrix,
     Sublattice,
@@ -15,10 +15,10 @@ from torf.linalg import (
     kernel_cols,
     lattice_contains,
     lattice_coords,
-    lattice_index,
     member_lattice,
     rank,
     saturate,
+    smith_columns,
     snf,
     solve_integer,
     vec_add,
@@ -28,9 +28,17 @@ from torf.linalg import (
     vec_scale,
     vec_sub,
 )
-from torf.monoids import _p_saturation
+from torf.monoids import _lattice_intersection, _p_saturation, stratum_index
 
-from reference import coset_reps, lattice_sum, rational_coords
+from reference import (
+    NotASublattice,
+    coset_reps,
+    lattice_index,
+    lattice_sum,
+    p_saturation_in,
+    rational_coords,
+    saturate_by_kernels,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -342,13 +350,65 @@ class TestLatticeCoords:
         sup = Sublattice.from_generators(n, data.draw(st.lists(vectors(n), min_size=1, max_size=4)))
         assume(sup.rank > 0)
         sub = full_rank_sublattice(data, sup)
-        sat = _p_saturation(sub, sup, p)
+        sat = _lattice_intersection(_p_saturation(sub, p), sup)
         low, high = lattice_index(sub, sat), lattice_index(sat, sup)
         assert low * high == lattice_index(sub, sup)
         assert high % p != 0
         while low % p == 0:
             low //= p
         assert low == 1
+
+
+def lattices(data, n):
+    """A sublattice of Z^n of each rank 0..n, on entries up to 30."""
+    r = data.draw(st.integers(0, n), label="rank")
+    lat = Sublattice.from_generators(n, data.draw(st.lists(vectors(n), min_size=r, max_size=r)))
+    assume(lat.rank == r)
+    return lat
+
+
+EDGE_LATTICES = [Sublattice.zero(n) for n in range(5)] + [Sublattice.full(n) for n in range(5)] + [
+    Sublattice.from_generators(4, [(2, 0, 0, 0), (0, 6, 0, 0), (0, 0, 30, 0), (0, 0, 0, 4)]),
+    Sublattice.from_generators(3, [(30, -30, 0), (0, 12, 18)]),
+    Sublattice.from_generators(2, [(4, 6)]),
+]
+
+
+class TestSmithColumns:
+    """Saturation, stratum index and p-saturation from one Smith form of a
+    lattice's basis, against the kernel, determinant and coordinate-Smith
+    constructions they replaced (`tests/reference.py`)."""
+
+    def check(self, lat):
+        sat = saturate_by_kernels(lat)
+        d, cols = smith_columns(lat)
+        assert len(d) == len(cols) == lat.rank
+        assert all(di > 0 for di in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
+        assert Sublattice.from_generators(lat.ambient_rank, cols) == lat
+        quotients = [tuple(x // di for x in c) for di, c in zip(d, cols)]
+        assert all(vec_scale(di, q) == c for di, q, c in zip(d, quotients, cols))
+        assert Sublattice.from_generators(lat.ambient_rank, quotients) == sat
+        assert saturate(lat) == sat
+        assert stratum_index(lat) == lattice_index(lat, sat)
+        for p in (2, 3, 5):
+            assert _p_saturation(lat, p) == p_saturation_in(lat, sat, p), p
+
+    @PROPERTY
+    @given(st.data())
+    def test_agrees_with_references(self, data):
+        self.check(lattices(data, data.draw(st.integers(0, 4), label="n")))
+
+    @pytest.mark.parametrize("lat", EDGE_LATTICES, ids=lambda lat: f"n{lat.ambient_rank}r{lat.rank}")
+    def test_edge_ranks(self, lat):
+        self.check(lat)
+
+    def test_examples(self):
+        lat = EDGE_LATTICES[-3]  # diag(2, 6, 30, 4): invariant factors 2, 2, 6, 60
+        assert smith_columns(lat)[0] == [2, 2, 6, 60]
+        assert stratum_index(lat) == 2 * 6 * 30 * 4
+        assert _p_saturation(lat, 3) == Sublattice.from_generators(
+            4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 10, 0), (0, 0, 0, 4)])
+        assert _p_saturation(Sublattice.zero(3), 2) == Sublattice.zero(3)
 
 
 class TestVectorKernels:

@@ -26,7 +26,6 @@ from torf.cones import cone_from_generators, face_fan_closure, faces
 from torf.linalg import (
     Sublattice,
     lattice_contains,
-    lattice_index,
     member_lattice,
     saturate,
     vec_add,
@@ -63,6 +62,7 @@ from reference import (
     hilbert_basis_brute,
     hilbert_basis_by_simplex,
     is_weakly_normal_inline,
+    lattice_index,
     minors_gcd,
     points_by_simplex,
     sn_member_oracle,
