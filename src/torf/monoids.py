@@ -6,8 +6,8 @@ contains 0 (the unital convention; 0 is implicit and never stored).  The
 stratified form trades the generator description for one sublattice per
 face of the cone, realized as the disjoint union of each lattice with the
 relative interior of its face.  The verdicts and normalizations, of a monoid
-too, are in `complexes`; they read `realizes`, `wn_family` and `stratum_index`.
-"""
+too, are in `complexes`; they read `wn_family`, `stratum_index` and `realizes`,
+which asks S only for the irreducibles that the extraction keeps."""
 
 from __future__ import annotations
 
@@ -367,9 +367,10 @@ def _p_saturation(lat: Sublattice, p: int) -> Sublattice:
 
 
 def wn_family(family, p: int):
-    """The family (face -> stratum) of the weak normalization at p: each stratum
-    p-saturated inside Z^n intersect its span, which keeps the family valid."""
-    return family if p == 0 else {f: _p_saturation(L, p) for f, L in family.items()}
+    """The family (face -> stratum) of the weak normalization at p: each distinct
+    stratum p-saturated once inside Z^n intersect its span, a valid family."""
+    sat = {} if p == 0 else {lat: _p_saturation(lat, p) for lat in set(family.values())}
+    return {f: sat.get(lat, lat) for f, lat in family.items()}
 
 
 @lru_cache(maxsize=None)
@@ -423,6 +424,17 @@ def _strata_candidates(strat: StratifiedMonoid):
     return {vec_add(x, t) for rs, points in cells for t in _subset_sums(n, rs) for x in points}
 
 
+def _irreducibles(cone: Cone, member_fn, candidates):
+    """The non-units that `extract_generators` keeps, yielded as each is kept."""
+    ell = _grading(cone)
+    in_m = lru_cache(maxsize=None)(member_fn)
+    kept = []
+    for m in sorted(candidates, key=lambda v: (vec_dot(ell, v), v)):
+        if vec_dot(ell, m) and in_m(m) and not any(in_m(vec_sub(m, g)) for g in kept):
+            kept.append(m)
+            yield m
+
+
 def extract_generators(cone: Cone, member_fn, group_lattice: Sublattice,
                        candidates) -> AffineMonoid:
     """Greedy minimal generating set of the monoid M decided by `member_fn`: a
@@ -432,18 +444,10 @@ def extract_generators(cone: Cone, member_fn, group_lattice: Sublattice,
     Candidates are taken in grading order (the grading vanishes exactly on
     the units).  A non-unit m of M is kept unless m - g lies in M for some
     non-unit g kept before it: all of M below the grading of m is already
-    generated then, so this is the same as m being generated by them.
-    """
+    generated then, so this is the same as m being generated by them."""
     units = [u for b in group_lattice.basis_vectors() for u in (b, vec_neg(b))]
-    ell = _grading(cone)
-    in_m = lru_cache(maxsize=None)(member_fn)
-    kept = []
-    for m in sorted(candidates, key=lambda v: (vec_dot(ell, v), v)):
-        if vec_dot(ell, m) == 0 or not in_m(m):
-            continue
-        if not any(in_m(vec_sub(m, g)) for g in kept):
-            kept.append(m)
-    return AffineMonoid.make(cone.ambient_rank, units + kept)
+    kept = _irreducibles(cone, member_fn, candidates)
+    return AffineMonoid.make(cone.ambient_rank, units + list(kept))
 
 
 def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
@@ -453,8 +457,11 @@ def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
 
 
 def realizes(s: AffineMonoid, strat: StratifiedMonoid) -> bool:
-    """Every candidate of `strat` that it realizes is in S; on S's own family, seminormality."""
-    return all(member(s, m) for m in _strata_candidates(strat) if strat.member(m))
+    """Every irreducible of the monoid that `strat` realizes is in S, asked as
+    each is kept, up to the first one missing: on S's own family, seminormality.
+    No unit is asked: there L_min is S intersect the lineality, a group, so in S."""
+    return all(member(s, g) for g in _irreducibles(strat.cone, strat.member,
+                                                   _strata_candidates(strat)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Monoidal complexes, their rings, orbits, and classification."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -38,7 +39,9 @@ from torf.complexes import (
     full_complex,
     germ_at,
     in_support,
+    is_seminormal,
     is_seminormal_complex,
+    is_weakly_normal,
     is_weakly_normal_complex,
     orbits,
     ring_add,
@@ -69,6 +72,7 @@ from torf.model import build_complex, parse_model
 from torf.monoids import (
     AffineMonoid,
     Characteristic,
+    _simplices,
     box_points,
     check_family,
     face_restriction,
@@ -90,6 +94,7 @@ from reference import (
     saturated_by_cone,
     span_lattice,
 )
+from scale_models import cube
 from test_package import fresh
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -511,10 +516,52 @@ class TestVerdictsReadTheFamily:
     def test_models(self, name):
         self.check(model_complex(name))
 
+    @pytest.mark.parametrize("holed", [False, True])
+    def test_cube_3(self, holed):
+        """The complete fan over the faces of [-1, 1]^3, whose six facets have
+        four rays each.  Holed, the facet x1 = 1 carries its points of height 1
+        but (1, 0, 0), twice which is (1, 1, 0) + (1, -1, 0): not seminormal."""
+        doc = cube(3)
+        if holed:
+            gens = [[1, a, b] for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]
+            doc["monoids"] = {"x1+": {"generators": gens}}
+        x, _pairs = build_complex(parse_model(json.dumps(doc)))
+        assert all(len(f.rays) == 4 for f in x.fan.facets)
+        assert is_seminormal_complex(x) is not holed
+        self.check(x)
+
     @PROPERTY
     @given(monoid_complexes())
     def test_random_complexes(self, x):
         self.check(x)
+
+
+SQUARE = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1))
+
+
+@st.composite
+def square_cone_monoids(draw):
+    """A rank-3 monoid on the cone over a square, which has four extreme rays:
+    a multiple of each (1, +-1, +-1) and up to three small vectors of the cone."""
+    ks = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    inside = st.tuples(st.integers(1, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(
+        lambda v: abs(v[1]) <= v[0] and abs(v[2]) <= v[0])
+    extra = draw(st.lists(inside, max_size=3))
+    return AffineMonoid.make(3, [tuple(k * x for x in v) for k, v in zip(ks, SQUARE)] + extra)
+
+
+class TestNonSimplicialVerdicts:
+    """On cones that `_simplices` must triangulate, the monoid verdicts equal
+    the scan of every realized candidate in `is_weakly_normal_inline`."""
+
+    @PROPERTY
+    @given(square_cone_monoids())
+    def test_square_cone(self, s):
+        assert len(_simplices(monoid_cone(s))) == 2
+        assert is_seminormal(s) == is_weakly_normal_inline(s, Characteristic(0))
+        for p in (2, 3):
+            char = Characteristic(p)
+            assert is_weakly_normal(s, char) == is_weakly_normal_inline(s, char), p
 
 
 class TestWnFamilyContract:
@@ -571,6 +618,46 @@ class TestOneVerdictPath:
         assert verdicts == [is_weakly_normal_inline(self.UMBRELLA, Characteristic(p))
                             for p in (0,) + self.PRIMES]
         assert calls == {"realizes": 1, "_p_saturation": 0}
+
+
+class TestSeminormalAsksTheIrreducibles:
+    """`is_seminormal` asks `member` only for the irreducibles of the monoid
+    that S's family realizes, as the extraction keeps them, and stops at the
+    first one missing.  Counted in a fresh interpreter on the Hilbert basis of
+    cone(e1, e2, (1, 1, 30)), whose 32 elements are e1, e2 and the (1, 1, k),
+    and on it less (1, 1, 1) or (1, 1, 29), which are not seminormal.  The
+    scan of every realized candidate, `is_weakly_normal_inline`, asks 240, 86
+    and 17 times."""
+
+    HILBERT = [(1, 0, 0), (0, 1, 0)] + [(1, 1, k) for k in range(1, 31)]
+    CASES = {"saturated": None, "without (1,1,1)": (1, 1, 1), "without (1,1,29)": (1, 1, 29)}
+
+    def test_member_calls(self):
+        monoids = {name: [g for g in self.HILBERT if g != drop]
+                   for name, drop in self.CASES.items()}
+        script = ("import json, sys\n"
+                  "from torf.complexes import is_seminormal\n"
+                  "from torf.monoids import AffineMonoid\n"
+                  "calls, real = [0], sys.modules['torf.monoids'].member\n"
+                  "def counted(*a):\n"
+                  "    calls[0] += 1\n"
+                  "    return real(*a)\n"
+                  "for m in [m for k, m in sys.modules.items() if k.startswith('torf.')]:\n"
+                  "    if getattr(m, 'member', None) is real:\n"
+                  "        m.member = counted\n"
+                  "out = {}\n"
+                  f"for name, gens in {monoids!r}.items():\n"
+                  "    calls[0] = 0\n"
+                  "    out[name] = [is_seminormal(AffineMonoid.make(3, gens)), calls[0]]\n"
+                  "print(json.dumps(out))")
+        out = fresh(script)
+        assert out["saturated"] == [True, 32]
+        for name in ("without (1,1,1)", "without (1,1,29)"):
+            verdict, calls = out[name]
+            assert verdict is False and calls <= 32, name
+        for name, gens in monoids.items():
+            s = AffineMonoid.make(3, gens)
+            assert out[name][0] == is_weakly_normal_inline(s, Characteristic(0)), name
 
 
 class TestFacetsDecideTheComplex:

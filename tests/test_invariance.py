@@ -8,17 +8,21 @@ import json
 import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torf.cli import main
 from torf.fixtures import fixture_names
-from torf.linalg import Sublattice, member_lattice
+from torf.cones import cone_from_generators
+from torf.linalg import Sublattice, member_lattice, vec_neg
 
 from reference import transform_model
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+MODELS = Path(__file__).with_name("models")
+MODEL_NAMES = sorted(p.stem for p in MODELS.glob("*.json"))
 
 
 def run_text(text, *argv):
@@ -54,6 +58,11 @@ def fixture_text(name):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["fixtures", name]) == 0
     return out.getvalue()
+
+
+@lru_cache(maxsize=None)
+def model_text(name):
+    return (MODELS / f"{name}.json").read_text()
 
 
 def elementary(n):
@@ -107,16 +116,24 @@ class TestTransformModel:
 
 
 class TestUnimodularInvariance:
-    @pytest.mark.parametrize("name", fixture_names())
-    @PROPERTY
-    @given(data=st.data())
-    def test_fixture(self, name, data):
-        text = fixture_text(name)
+    def check(self, text, data):
         doc = json.loads(text)
         n = int(doc["ambient_rank"])
         ops = data.draw(st.lists(elementary(n), min_size=1, max_size=4), label="ops")
         moved = json.dumps(transform_model(doc, product(n, ops)))
         assert invariants(moved) == invariants(text)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @PROPERTY
+    @given(data=st.data())
+    def test_fixture(self, name, data):
+        self.check(fixture_text(name), data)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @PROPERTY
+    @given(data=st.data())
+    def test_model(self, name, data):
+        self.check(model_text(name), data)
 
 
 def inverse(ops):
@@ -130,29 +147,33 @@ def move(u, v):
 
 def normalized(results, u):
     """A `normalize` result with every vector moved by u, as a set that no
-    canonical order enters: per cone, its rays, the lattice of its lineality,
-    the lattice of the generators in that lineality, the other generators, and
-    each stratum as (face, lattice).  A cone with a lineality has no rays in the
-    fixtures, so the generators outside it are the unique Hilbert basis."""
+    canonical order enters: per cone, the cone, the lattice U of its
+    generators in its lineality, the other generators, and each stratum as
+    (face, lattice).  A cone is the `Cone` of its moved rays and lineality,
+    which depends on the set only.  The other generators are taken up to U,
+    each as the lattice it spans with U: two of them span the same one only
+    when they differ by a unit, so this is the unique Hilbert basis modulo U."""
     n = len(u)
 
     def lattice(vectors):
         return Sublattice.from_generators(n, [move(u, v) for v in vectors])
 
     def face(c):
-        return frozenset(move(u, r) for r in c["rays"]), lattice(c["lineality"])
+        lin = [move(u, v) for v in c["lineality"]]
+        return cone_from_generators(n, [move(u, r) for r in c["rays"]] + lin
+                                    + [vec_neg(v) for v in lin])
 
     strata = {face(row["cone"]): frozenset((face(s["face"]), lattice(s["basis"]))
                                            for s in row["strata"])
               for row in results["strata"]}
     out = set()
     for row in results["cones"]:
-        key = face(row["cone"])
+        key, lin = face(row["cone"]), lattice(row["cone"]["lineality"])
         gens = [move(u, g) for g in row["generators"]]
-        units = [g for g in gens if member_lattice(key[1], g)]
-        assert not (units and key[0]), "a cone with both rays and units"
-        out.add((key, Sublattice.from_generators(n, units),
-                 frozenset(set(gens) - set(units)), strata[key]))
+        units = [g for g in gens if member_lattice(lin, g)]
+        rest = frozenset(Sublattice.from_generators(n, units + [g])
+                         for g in gens if g not in units)
+        out.add((key, Sublattice.from_generators(n, units), rest, strata[key]))
     return out
 
 
@@ -165,30 +186,41 @@ def form_dims(text, p, box):
 
 
 class TestUnimodularEquivariance:
-    """`normalize` (sn, and wn at 2) maps by U, and the `forms --box 2`
-    dimension at U m is the dimension at m."""
+    """`normalize` (sn, and wn at 2) maps by U, and on the fixtures the
+    `forms --box 2` dimension at U m is the dimension at m."""
 
     NORMALIZE = (("normalize",), ("normalize", "--mode", "wn", "--char", "2"))
 
-    @pytest.mark.parametrize("name", fixture_names())
-    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_fixture(self, name, data):
-        text = fixture_text(name)
+    def check_normalize(self, text, data):
+        """The moved text, n and the ops of U, once `normalize` is checked on them."""
         doc = json.loads(text)
         n = int(doc["ambient_rank"])
         ops = data.draw(st.lists(elementary(n), min_size=1, max_size=2), label="ops")
-        u = product(n, ops)
-        identity = product(n, [])
+        u, identity = product(n, ops), product(n, [])
         moved = json.dumps(transform_model(doc, u))
         for argv in self.NORMALIZE:
             (code, got), (code0, want) = run_text(moved, *argv), run_text(text, *argv)
             assert code == code0 == 0
             assert got["already_normal"] == want["already_normal"]
             assert normalized(got, identity) == normalized(want, u), argv
+        return moved, n, ops
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_fixture(self, name, data):
+        text = fixture_text(name)
+        moved, n, ops = self.check_normalize(text, data)
+        u = product(n, ops)
         p = data.draw(st.integers(0, n), label="p")
         box = 2 * max(sum(map(abs, row)) for row in u)  # holds U m for m in box 2
         back = product(n, inverse(ops))
         want = {move(u, m): d for m, d in form_dims(text, p, 2).items()}
         got = form_dims(moved, p, box)
         assert {m: d for m, d in got.items() if max(map(abs, move(back, m)), default=0) <= 2} == want
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_model(self, name, data):
+        self.check_normalize(model_text(name), data)
