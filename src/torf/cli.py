@@ -293,12 +293,9 @@ def cmd_forms(args, rep):
     p = args.p
     rep.results["p"] = p
     rep.results["box"] = str(box)
+    header = f"p={p}, box {box}"
     if args.pair:
-        subfan = _get_pair(pairs, args.pair)
-        per_degree, decomposition = pair_dims(x, subfan, p, box)
-        rep.results["per_degree"] = {
-            vec_str(m): str(d) for m, d in sorted(per_degree.items())
-        }
+        per_degree, decomposition = pair_dims(x, _get_pair(pairs, args.pair), p, box)
         rep.results["decomposition"] = [
             {
                 "cone": _cone_json(c),
@@ -306,19 +303,13 @@ def cmd_forms(args, rep):
             }
             for c, block in sorted(decomposition.items(), key=lambda kv: kv[0].sort_key())
         ]
-        total = sum(per_degree.values())
-        rep.line(f"pair {args.pair!r}, p={p}, box {box}: total dimension {total}")
-        for m, d in sorted(per_degree.items()):
-            rep.line(f"  {vec_str(m)}: {d}")
+        header = f"pair {args.pair!r}, {header}"
     else:
-        dims = hdiff_general(x, p, box)
-        rep.results["per_degree"] = {
-            vec_str(m): str(d) for m, d in sorted(dims.items())
-        }
-        total = sum(dims.values())
-        rep.line(f"p={p}, box {box}: total dimension {total}")
-        for m, d in sorted(dims.items()):
-            rep.line(f"  {vec_str(m)}: {d}")
+        per_degree = hdiff_general(x, p, box)
+    rep.results["per_degree"] = {vec_str(m): str(d) for m, d in sorted(per_degree.items())}
+    rep.line(f"{header}: total dimension {sum(per_degree.values())}")
+    for m, d in sorted(per_degree.items()):
+        rep.line(f"  {vec_str(m)}: {d}")
     return EXIT_OK
 
 

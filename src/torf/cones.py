@@ -239,11 +239,6 @@ def cone_from_h(n, ineqs, eqs=()) -> Cone:
     return _cone(n, r + _pm(l), system)
 
 
-def relint_contains(c: Cone, v) -> bool:
-    """True iff v lies in the relative interior of c."""
-    return locate(c, v) == c
-
-
 def locate(c: Cone, m):
     """The face of c holding m in its relative interior, or None when m is not
     in c.  It is read off the inequality values: the face is spanned by the

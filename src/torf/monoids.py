@@ -6,8 +6,9 @@ contains 0 (the unital convention; 0 is implicit and never stored).  The
 stratified form trades the generator description for one sublattice per
 face of the cone, realized as the disjoint union of each lattice with the
 relative interior of its face.  The verdicts and normalizations, of a monoid
-too, are in `complexes`; they read `wn_family`, `stratum_index` and `realizes`,
-which asks S only for the irreducibles that the extraction keeps."""
+too, are in `complexes`.  They read `wn_family`, `stratum_index` and
+`realizes`, which compares each irreducible with S's generators up to units;
+no membership search."""
 
 from __future__ import annotations
 
@@ -457,11 +458,15 @@ def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
 
 
 def realizes(s: AffineMonoid, strat: StratifiedMonoid) -> bool:
-    """Every irreducible of the monoid that `strat` realizes is in S, asked as
-    each is kept, up to the first one missing: on S's own family, seminormality.
-    No unit is asked: there L_min is S intersect the lineality, a group, so in S."""
-    return all(member(s, g) for g in _irreducibles(strat.cone, strat.member,
-                                                   _strata_candidates(strat)))
+    """On S's own family, seminormality: each irreducible g of the monoid M
+    that `strat` realizes, as it is kept and up to the first miss, is h + u for
+    a pointed generator h of S and u in S's unit lattice U.  Sufficiency: L_min
+    = S intersect the lineality is U, a group in S, so g = h + u is in S.
+    Necessity: a g in S that is no single h + u is a sum of two non-units of M,
+    so the extraction reduces it against an element kept before it."""
+    units, pointed = _unit_split(s)
+    return all(any(member_lattice(units, vec_sub(g, h)) for h in pointed)
+               for g in _irreducibles(strat.cone, strat.member, _strata_candidates(strat)))
 
 
 # ---------------------------------------------------------------------------

@@ -621,43 +621,50 @@ class TestOneVerdictPath:
 
 
 class TestSeminormalAsksTheIrreducibles:
-    """`is_seminormal` asks `member` only for the irreducibles of the monoid
-    that S's family realizes, as the extraction keeps them, and stops at the
-    first one missing.  Counted in a fresh interpreter on the Hilbert basis of
-    cone(e1, e2, (1, 1, 30)), whose 32 elements are e1, e2 and the (1, 1, k),
-    and on it less (1, 1, 1) or (1, 1, 29), which are not seminormal.  The
-    scan of every realized candidate, `is_weakly_normal_inline`, asks 240, 86
-    and 17 times."""
+    """`is_seminormal` searches nothing: it compares each irreducible of the
+    monoid that S's family realizes, as the extraction keeps it, with S's
+    generators up to units, and `member` is never called.  Counted in a fresh
+    interpreter on the Hilbert basis of cone(e1, e2, (1, 1, 30)), whose 32
+    elements are e1, e2 and the (1, 1, k), and on it less (1, 1, 1) or
+    (1, 1, 29), which are not seminormal; and inside `is_seminormal_complex`
+    on `models/p1-cubed.json`.  The scan of every realized candidate,
+    `is_weakly_normal_inline`, asks 240, 86 and 17 times."""
 
     HILBERT = [(1, 0, 0), (0, 1, 0)] + [(1, 1, k) for k in range(1, 31)]
     CASES = {"saturated": None, "without (1,1,1)": (1, 1, 1), "without (1,1,29)": (1, 1, 29)}
+    COUNTED = ("import json, sys\n"
+               "from pathlib import Path\n"
+               "from torf.complexes import is_seminormal, is_seminormal_complex\n"
+               "from torf.model import build_complex, parse_model\n"
+               "from torf.monoids import AffineMonoid\n"
+               "calls, real = [0], sys.modules['torf.monoids'].member\n"
+               "def counted(*a):\n"
+               "    calls[0] += 1\n"
+               "    return real(*a)\n"
+               "for m in [m for k, m in sys.modules.items() if k.startswith('torf.')]:\n"
+               "    if getattr(m, 'member', None) is real:\n"
+               "        m.member = counted\n"
+               "def count(verdict, arg):\n"
+               "    calls[0] = 0\n"
+               "    return [verdict(arg), calls[0]]\n")
 
     def test_member_calls(self):
         monoids = {name: [g for g in self.HILBERT if g != drop]
                    for name, drop in self.CASES.items()}
-        script = ("import json, sys\n"
-                  "from torf.complexes import is_seminormal\n"
-                  "from torf.monoids import AffineMonoid\n"
-                  "calls, real = [0], sys.modules['torf.monoids'].member\n"
-                  "def counted(*a):\n"
-                  "    calls[0] += 1\n"
-                  "    return real(*a)\n"
-                  "for m in [m for k, m in sys.modules.items() if k.startswith('torf.')]:\n"
-                  "    if getattr(m, 'member', None) is real:\n"
-                  "        m.member = counted\n"
-                  "out = {}\n"
-                  f"for name, gens in {monoids!r}.items():\n"
-                  "    calls[0] = 0\n"
-                  "    out[name] = [is_seminormal(AffineMonoid.make(3, gens)), calls[0]]\n"
-                  "print(json.dumps(out))")
-        out = fresh(script)
-        assert out["saturated"] == [True, 32]
+        out = fresh(self.COUNTED + f"print(json.dumps({{name: count(is_seminormal, "
+                    f"AffineMonoid.make(3, gens)) for name, gens in {monoids!r}.items()}}))")
+        assert out["saturated"] == [True, 0]
         for name in ("without (1,1,1)", "without (1,1,29)"):
-            verdict, calls = out[name]
-            assert verdict is False and calls <= 32, name
+            assert out[name] == [False, 0], name
         for name, gens in monoids.items():
             s = AffineMonoid.make(3, gens)
             assert out[name][0] == is_weakly_normal_inline(s, Characteristic(0)), name
+
+    def test_member_calls_on_a_complex(self):
+        path = str(MODELS / "p1-cubed.json")
+        out = fresh(self.COUNTED + f"x = build_complex(parse_model(Path({path!r}).read_text()))[0]\n"
+                    "print(json.dumps(count(is_seminormal_complex, x)))")
+        assert out == [is_seminormal_complex_facetwise(model_complex("p1-cubed")), 0]
 
 
 class TestFacetsDecideTheComplex:

@@ -30,7 +30,6 @@ from torf.cones import (
     intersect,
     is_face_of,
     locate,
-    relint_contains,
     subfan,
 )
 from torf.linalg import IntMatrix, rank, vec_add, vec_dot
@@ -95,10 +94,10 @@ class TestConeStructure:
         assert not QUAD.contains((-1, 0))
 
     def test_relint(self):
-        assert relint_contains(QUAD, (1, 1))
-        assert not relint_contains(QUAD, (1, 0))
-        assert relint_contains(XRAY, (3, 0))
-        assert not relint_contains(XRAY, (0, 0))
+        assert locate(QUAD, (1, 1)) == QUAD
+        assert locate(QUAD, (1, 0)) != QUAD
+        assert locate(XRAY, (3, 0)) == XRAY
+        assert locate(XRAY, (0, 0)) != XRAY
 
     def test_lineality(self):
         half = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
@@ -458,7 +457,6 @@ class TestLocate:
             f = locate(c, m)
             assert f == locate_scan(c, m)
             assert (f is None) == (not c.contains(m))
-            assert relint_contains(c, m) == (f == c)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -14,7 +14,7 @@ from torf.cones import (
     face_fan_closure,
     fan_minimal_cone,
     fan_validate,
-    relint_contains,
+    locate,
     subfan,
 )
 from torf.complexes import (
@@ -283,7 +283,7 @@ class TestPairsAndBetti:
                     if c not in sub:
                         box = box_points(x.ambient_rank, 4)
                         expected[c] = {tuple(m): comb(c.dim, p) for m in box
-                                       if relint_contains(c, m) and member(s, m)}
+                                       if locate(c, m) == c and member(s, m)}
                 assert decomposition == expected
                 flat = {}
                 for block in decomposition.values():

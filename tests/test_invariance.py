@@ -1,6 +1,6 @@
 """The answers that do not depend on coordinates stay the same when a model is
 moved by an element of GL_n(Z), and the ones that do move with it: the
-normalized complexes and the form dimensions by degree."""
+normalized complexes, the germs and the form dimensions by degree."""
 
 import contextlib
 import io
@@ -224,3 +224,35 @@ class TestUnimodularEquivariance:
     @given(data=st.data())
     def test_model(self, name, data):
         self.check_normalize(model_text(name), data)
+
+
+def germ_table(results, u):
+    """A `germ` result with every vector moved by u, re-sorted canonically:
+    the `Cone` of each cone's moved generators -> its monoid's moved
+    generators, sorted."""
+    doc = results["germ_model"]
+    n = len(u)
+    moved = lambda vs: [move(u, v) for v in vs]
+    return {cone_from_generators(n, moved(doc["cones"][name])):
+            tuple(sorted(moved(doc["monoids"][name]["generators"])))
+            for name in doc["fan"]}
+
+
+class TestGermEquivariance:
+    """The germ of U x at U t is U applied to the germ of x at t, for every
+    cone t of every fixture."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_fixture(self, name, data):
+        text = fixture_text(name)
+        doc = json.loads(text)
+        n = int(doc["ambient_rank"])
+        ops = data.draw(st.lists(elementary(n), min_size=1, max_size=3), label="ops")
+        u, identity = product(n, ops), product(n, [])
+        moved = json.dumps(transform_model(doc, u))
+        for cone in doc["cones"]:
+            (code, got), (code0, want) = (run_text(t, "germ", "--cone", cone) for t in (moved, text))
+            assert code == code0 == 0
+            assert germ_table(got, identity) == germ_table(want, u), cone

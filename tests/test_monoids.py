@@ -35,8 +35,10 @@ from torf.linalg import (
 from torf.monoids import (
     _MR_LIMIT,
     _cell_points,
+    _irreducibles,
     _lattice_intersection,
     _simplices,
+    _strata_candidates,
     AffineMonoid,
     Characteristic,
     StratifiedMonoid,
@@ -808,6 +810,68 @@ class TestFamiliesWithoutCheck:
     @pytest.mark.parametrize("s", [PINCH, NSG23, NN], ids=["pinch", "nsg23", "nn"])
     def test_examples(self, s):
         self.check(s)
+
+
+@st.composite
+def lineality_monoids(draw):
+    """Monoids of rank 2 or 3 whose cone has the lineality span(e_1..e_k): the
+    units are a lattice of it, often not saturated (such as +-2 e_1), and each
+    pointed generator, nonnegative and nonzero off it, is shifted by a random
+    unit."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, n - 1))
+    small = st.integers(-3, 3)
+    basis = []
+    for i in range(k):
+        row = [0] * n
+        row[i] = draw(st.integers(1, 3))
+        for j in range(i + 1, k):
+            row[j] = draw(small)
+        basis.append(tuple(row))
+    gens = basis + [vec_neg(b) for b in basis]
+    tails = draw(st.lists(st.tuples(*[st.integers(0, 3)] * (n - k)).filter(any),
+                          min_size=1, max_size=3))
+    for tail in tails:
+        g = tuple(draw(st.tuples(*[small] * k))) + tail
+        for b in basis:
+            g = vec_add(g, tuple(draw(small) * x for x in b))
+        gens.append(g)
+    return AffineMonoid.make(n, gens)
+
+
+class TestSeminormalUpToUnits:
+    """An irreducible of the realized monoid need only be a generator of S up
+    to a unit: the verdicts agree with the scan of every realized candidate,
+    `is_weakly_normal_inline`, on cones with a lineality."""
+
+    def check(self, s):
+        for p in (0, 2, 3):
+            char = Characteristic(p)
+            assert is_weakly_normal(s, char) == is_weakly_normal_inline(s, char), p
+        assert is_seminormal(s) == is_weakly_normal(s, Characteristic(0))
+
+    @PROPERTY
+    @given(lineality_monoids())
+    def test_random_monoids(self, s):
+        self.check(s)
+
+    def test_half_plane_with_even_units(self):
+        s = AffineMonoid.make(2, [(2, 0), (-2, 0), (0, 1), (1, 1)])
+        self.check(s)
+        assert is_seminormal(s) and not is_weakly_normal(s, Characteristic(2))
+
+    def test_irreducible_off_the_generators(self):
+        s = AffineMonoid.make(2, [(1, 0), (-1, 0), (5, 1)])
+        strat = stratify(s)
+        kept = list(_irreducibles(strat.cone, strat.member, _strata_candidates(strat)))
+        assert kept == [(0, 1)] and (0, 1) not in s.generators
+        self.check(s)
+        assert is_seminormal(s)
+
+    def test_not_seminormal(self):
+        s = AffineMonoid.make(2, [(3, 0), (-3, 0), (1, 2), (0, 2), (2, 2), (7, 1)])
+        self.check(s)
+        assert not is_seminormal(s)
 
 
 class TestRelativeBudget:
