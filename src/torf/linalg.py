@@ -102,10 +102,6 @@ class IntMatrix:
     def identity(n):
         return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zero(rows, cols):
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
     def entry(self, i, j):
         return self.entries[i * self.cols + j]
 
@@ -357,8 +353,9 @@ class Sublattice:
                 raise DimensionMismatch("generator length does not match ambient rank")
         if not vectors:
             return Sublattice(ambient_rank, IntMatrix(ambient_rank, 0, ()))
-        h, _ = hnf(IntMatrix.from_cols(list(vectors), nrows=ambient_rank))
-        cols = [h.col(j) for j in range(h.cols) if not vec_is_zero(h.col(j))]
+        rows = [list(x) for x in zip(*vectors)]
+        _hnf_in_place(rows, [])  # the basis alone: no transform to keep
+        cols = [c for c in zip(*rows) if any(c)]
         return Sublattice(ambient_rank, IntMatrix.from_cols(cols, nrows=ambient_rank))
 
     @staticmethod
@@ -400,6 +397,18 @@ def lattice_coords(lat: Sublattice, v):
         y.append(q)
         rest = list(map(sub, rest, map(mul, repeat(q), col)))
     return None if any(rest) else tuple(y)
+
+
+def lattice_residue(lat: Sublattice, v):
+    """The representative of the coset v + lat that the stored column HNF
+    picks: v less q times each basis column, in pivot order, with q the floor
+    of v's pivot entry over the pivot.  Later columns are zero on earlier
+    pivot rows, so each pivot entry ends in [0, pivot): two vectors have one
+    residue iff they differ by an element of `lat`, and those have residue 0."""
+    rest = tuple(v)
+    for p, col in lat._pivots:
+        rest = vec_sub(rest, vec_scale(rest[p] // col[p], col))
+    return rest
 
 
 def member_lattice(lat: Sublattice, v) -> bool:

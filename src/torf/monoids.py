@@ -31,6 +31,7 @@ from .linalg import (
     kernel_cols,
     lattice_contains,
     lattice_coords,
+    lattice_residue,
     member_lattice,
     saturate,
     smith_columns,
@@ -96,9 +97,6 @@ class AffineMonoid:
             if not vec_is_zero(g):
                 clean.add(g)
         return AffineMonoid(ambient_rank, tuple(sorted(clean)))
-
-    def zero(self):
-        return tuple(0 for _ in range(self.ambient_rank))
 
 
 @lru_cache(maxsize=None)
@@ -247,17 +245,27 @@ def _simplices(c: Cone):
     return out
 
 
-def _cell_points(cone: Cone, top: Sublattice, r, units, what):
-    """The points of `top` in each cell of `cone`, as (the r[x], the points).
-    A cell is, for a simplex sigma of `_simplices(cone)`, the point r[x] of
-    `top` on each ray x of sigma plus `units`, a basis of a full-rank lattice
-    of the lineality; it holds |det| points, one per coset of its span in
-    `top`, the product of its Smith diagonal.  Above MAX_PARALLELEPIPED_POINTS
-    in all, WorkTooLarge naming `what` is raised before any point is listed.
+def _cell_points(cone: Cone, top: Sublattice, r, member_fn, units, what):
+    """The candidates of each cell of `cone` for the monoid M that `member_fn`
+    decides, as (the r[x], the candidates).  A cell is, for a simplex sigma of
+    `_simplices(cone)`, the point r[x] of `top` on each ray x of sigma plus
+    `units`, a basis of a full-rank lattice of the lineality.  It holds |det|
+    points, one per coset of its span in `top`: with A its coordinates in
+    top's basis and U A V = D, U^-1 c for 0 <= c_i < d_i, each moved to A
+    times the fractional part of A^-1 U^-1 c = V D^-1 c.  Above
+    MAX_PARALLELEPIPED_POINTS in all, WorkTooLarge naming `what` is raised
+    before any point is listed.
 
-    With A the cell's coordinates in top's basis and U A V = D, the points
-    U^-1 c for 0 <= c_i < d_i run over the cosets; each one is moved to A
-    times the fractional part of A^-1 U^-1 c = V D^-1 c.
+    Each point p is a candidate, and if p is not in M so is p plus each
+    nonempty sum of the r[x] on which p's cell coordinate is 0.  Exactness,
+    for M the union of L_F intersect relint F holding the r[x], with the
+    lattice of `units` its unit group: an m of M in relint F is its cell
+    point p plus sum n_i r_i (n_i >= 0) plus a unit.  If p is not in M, some
+    coordinate t_i of m is a positive integer (else p is in the same relint F
+    and L_F); p is 0 at each, and p plus the sum of those r_i is a candidate
+    in relint F and L_F that m exceeds by r_i's and a unit.  So a saturated
+    cone keeps exactly its rays and points, and as only reducible candidates
+    (p in M plus a sum) are left out, the extraction keeps the same elements.
     """
     cells = []
     for rs in ([r[x] for x in simplex] for simplex in _simplices(cone)):
@@ -268,21 +276,20 @@ def _cell_points(cone: Cone, top: Sublattice, r, units, what):
     if count > MAX_PARALLELEPIPED_POINTS:
         raise WorkTooLarge(f"{what} would list {count} parallelepiped points; the limit is"
                            f" {MAX_PARALLELEPIPED_POINTS}", count)
+    in_m = lru_cache(maxsize=None)(member_fn)  # cells share the points of common faces
 
-    def point(a, y, q):  # A times the fractional part of y / q, in ambient coordinates
-        return top.basis.mul_vec(tuple(x // q for x in a.mul_vec(tuple(yi % q for yi in y))))
-    return [(rs, [point(a, *_smith_solve(diag, v, c)) for c in product(*map(range, diag))])
-            for rs, a, diag, v in cells]
+    def listed(rs, a, y, q):  # p = A times the fractional part of y / q, and its sums
+        p = top.basis.mul_vec(tuple(x // q for x in a.mul_vec(tuple(yi % q for yi in y))))
+        return [p] if in_m(p) else [vec_add(p, t) for t in _subset_sums(
+            len(p), [x for x, yi in zip(rs, y) if yi % q == 0])]
+    return [(rs, [x for c in product(*map(range, diag))
+                  for x in listed(rs, a, *_smith_solve(diag, v, c))]) for rs, a, diag, v in cells]
 
 
 def _grading(c: Cone):
     """Covector positive on the pointed part of c and zero on its lineality:
     the sum of its inequalities."""
-    n = c.ambient_rank
-    ell = tuple(0 for _ in range(n))
-    for a in c.ineqs:
-        ell = vec_add(ell, a)
-    return ell
+    return tuple(sum(a[i] for a in c.ineqs) for i in range(c.ambient_rank))
 
 
 @lru_cache(maxsize=None)
@@ -290,12 +297,13 @@ def cone_lattice_generators(c: Cone):
     """Generating set of the monoid Z^n intersect c: a canonical lattice basis
     (with negatives) for the lineality part, plus the Hilbert basis of the
     pointed part.  This is the saturation of any monoid generating c.  Up to
-    the units, an irreducible element is a ray or a point of a cell of c's
-    rays and lineality basis in Z^n intersect span c (`_cell_points`, which
-    refuses more than MAX_PARALLELEPIPED_POINTS points)."""
+    the units, an irreducible element is a ray or a candidate of a cell of
+    c's rays and lineality basis in Z^n intersect span c (`_cell_points`,
+    which refuses more than MAX_PARALLELEPIPED_POINTS points)."""
     n, units = c.ambient_rank, list(c.lin_basis)
     top = saturate(Sublattice.from_generators(n, c.generators))
-    cells = _cell_points(c, top, dict(zip(c.rays, c.rays)), units, f"the Hilbert basis of {c}")
+    cells = _cell_points(c, top, dict(zip(c.rays, c.rays)), c.contains, units,
+                         f"the Hilbert basis of {c}")
     candidates = set(c.rays).union(*(points for _rs, points in cells))
     return extract_generators(c, c.contains, Sublattice.from_generators(n, units),
                               candidates).generators
@@ -400,29 +408,20 @@ def _subset_sums(n, vectors):
 
 
 def _strata_candidates(strat: StratifiedMonoid):
-    """A finite set whose members in M, with the units of M, generate the
-    realized monoid M of a stratified monoid.
-
-    Take r_i, the least multiple of ray i inside its ray stratum.  For each
-    cell of r_i and a basis of the minimal stratum L_min in the top lattice
-    (`_cell_points`), take its points and add every subset sum of its r_i.
-    Exactness: an m in M lies in relint F and L_F for some face F, and in
-    the cone of some simplex sigma, m = l + sum t_i r_i with l in
-    span(L_min), t_i >= 0 and t_i > 0 only on rays of F.  Then
-    m - sum (ceil(t_i) - 1) r_i still lies in relint F and in L_F, and up to
-    L_min it is a candidate.
-    """
+    """A finite set whose members in M, with M's units, generate the realized
+    monoid M of `strat`: r_i, the least multiple of ray i in its ray stratum,
+    and the candidates of the cells of the r_i and a basis of the minimal
+    stratum in the top lattice (`_cell_points`, where exactness is argued)."""
     cone = strat.cone
-    n = cone.ambient_rank
     units = strat.lattice_of(faces(cone)[0]).basis_vectors()
     r = {}
     for ray in cone.rays:
-        line = Sublattice.from_generators(n, [ray])
+        line = Sublattice.from_generators(cone.ambient_rank, [ray])
         b = _lattice_intersection(strat.lattice_of(locate(cone, ray)), line).basis_vectors()[0]
         r[ray] = b if cone.contains(b) else vec_neg(b)
-    cells = _cell_points(cone, strat.lattice_of(cone), r, units,
+    cells = _cell_points(cone, strat.lattice_of(cone), r, strat.member, units,
                          f"the generators of the strata on {cone}")
-    return {vec_add(x, t) for rs, points in cells for t in _subset_sums(n, rs) for x in points}
+    return set(r.values()).union(*(xs for _rs, xs in cells))
 
 
 def _irreducibles(cone: Cone, member_fn, candidates):
@@ -460,12 +459,13 @@ def from_strata(strat: StratifiedMonoid) -> AffineMonoid:
 def realizes(s: AffineMonoid, strat: StratifiedMonoid) -> bool:
     """On S's own family, seminormality: each irreducible g of the monoid M
     that `strat` realizes, as it is kept and up to the first miss, is h + u for
-    a pointed generator h of S and u in S's unit lattice U.  Sufficiency: L_min
-    = S intersect the lineality is U, a group in S, so g = h + u is in S.
-    Necessity: a g in S that is no single h + u is a sum of two non-units of M,
-    so the extraction reduces it against an element kept before it."""
+    a pointed generator h of S and u in S's unit lattice U (one residue mod U).
+    Sufficiency: L_min = S intersect the lineality is U, a group in S, so
+    g = h + u is in S.  Necessity: a g in S that is no single h + u is a sum of
+    two non-units of M, so the extraction reduces it against one kept before."""
     units, pointed = _unit_split(s)
-    return all(any(member_lattice(units, vec_sub(g, h)) for h in pointed)
+    classes = {lattice_residue(units, h) for h in pointed}
+    return all(lattice_residue(units, g) in classes
                for g in _irreducibles(strat.cone, strat.member, _strata_candidates(strat)))
 
 

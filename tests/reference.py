@@ -24,7 +24,9 @@ p-saturation written out per stratum.  `saturate_by_kernels`,
 saturation, the index and the p-saturation that one Smith form of a
 lattice's basis (`linalg.smith_columns`) replaced: two kernel passes, a
 determinant of coordinates, and the Smith form of coordinates in a given
-superlattice.
+superlattice.  `strata_candidates_blanket` is the candidate rule that
+`monoids._cell_points` replaced: every cell point plus every subset sum of
+its simplex's r_i, whether or not the point is in the realized monoid.
 """
 
 import itertools
@@ -40,6 +42,7 @@ from torf.cones import (
     faces,
     intersect,
     is_face_of,
+    locate,
     relint_point,
 )
 from torf.errors import (
@@ -56,12 +59,14 @@ from torf.linalg import (
     kernel_cols,
     lattice_contains,
     lattice_coords,
+    member_lattice,
     saturate,
     snf,
     vec_add,
     vec_dot,
     vec_is_zero,
     vec_neg,
+    vec_scale,
 )
 from torf.monoids import (
     AffineMonoid,
@@ -122,6 +127,26 @@ def _parallelepiped_points(sup: Sublattice, vectors):
         frac = a.mul_vec(tuple(yi % q for yi in y))
         reps.append(sup.basis.mul_vec(tuple(xi // q for xi in frac)))
     return reps
+
+
+def strata_candidates_blanket(strat: StratifiedMonoid):
+    """With r_i the least positive multiple of ray i in its ray stratum: for
+    each simplex sigma of `_simplices`, every point of the cell of sigma's
+    r_i and the minimal stratum's basis in the top stratum plus every subset
+    sum of sigma's r_i."""
+    cone = strat.cone
+    units = strat.lattice_of(faces(cone)[0]).basis_vectors()
+    r = {}
+    for x in cone.rays:
+        ray_stratum = strat.lattice_of(locate(cone, x))
+        r[x] = next(vec_scale(k, x) for k in itertools.count(1)
+                    if member_lattice(ray_stratum, vec_scale(k, x)))
+    out = set()
+    for rs in ([r[x] for x in simplex] for simplex in _simplices(cone)):
+        for p in _parallelepiped_points(strat.lattice_of(cone), rs + units):
+            out |= {tuple(map(sum, zip(p, *sub)))
+                    for k in range(len(rs) + 1) for sub in itertools.combinations(rs, k)}
+    return out
 
 
 def points_by_simplex(c: Cone):

@@ -9,6 +9,10 @@
   e_1, ..., e_n and -(e_1 + ... + e_n).
 - `cube(n)`: the cones over the faces of [-1, 1]^n, 2n facets with 2^(n-1)
   rays each, non-simplicial from n = 3.
+- `hilbert(n)`: the saturated <e_1, e_2, (1, 1, n)>, given by its Hilbert
+  basis e_1, e_2 and (1, 1, k) for 1 <= k <= n, on its one cone.
+- `strata(n)`: the monoid <e_1, e_2, (1, 1, n), (1, 1, n - 1)>, which has the
+  strata of `hilbert(n)`: its cell holds n points.
 
 Run as a script it prints one document, for example
 
@@ -59,8 +63,20 @@ def cube(n):
     return _document(n, cones)
 
 
+def _one_cone(n, generators):
+    return _document(3, {"c": [[1, 0, 0], [0, 1, 0], [1, 1, n]]}, {"c": generators})
+
+
+def hilbert(n):
+    return _one_cone(n, [[1, 0, 0], [0, 1, 0]] + [[1, 1, k] for k in range(1, n + 1)])
+
+
+def strata(n):
+    return _one_cone(n, [[1, 0, 0], [0, 1, 0], [1, 1, n], [1, 1, n - 1]])
+
+
 MODELS = {"p1": p1_power, "p1-pinch": lambda n: p1_power(n, pinch=True),
-          "projective": projective, "cube": cube}
+          "projective": projective, "cube": cube, "hilbert": hilbert, "strata": strata}
 
 
 if __name__ == "__main__":

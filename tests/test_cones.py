@@ -417,7 +417,8 @@ class TestFanFromMaximalCones:
 
         # a fresh face cache, so that every face built in fan_validate is seen
         monkeypatch.setattr(torf.cones, "faces", lru_cache(maxsize=None)(traced_faces))
-        for module, name in ((torf.linalg, "hnf"), (torf.linalg, "snf"), (torf.cones, "snf")):
+        for module, name in ((torf.linalg, "hnf"), (torf.linalg, "_hnf_in_place"),
+                             (torf.linalg, "snf"), (torf.cones, "snf")):
             monkeypatch.setattr(module, name, refused(name, getattr(module, name)))
         intersected = []
         real_intersect = torf.cones.intersect

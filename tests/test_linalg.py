@@ -15,6 +15,7 @@ from torf.linalg import (
     kernel_cols,
     lattice_contains,
     lattice_coords,
+    lattice_residue,
     member_lattice,
     rank,
     saturate,
@@ -358,6 +359,25 @@ class TestLatticeCoords:
             low //= p
         assert low == 1
 
+
+
+class TestLatticeResidue:
+    """One residue per coset, read off the stored HNF: v and v + w, for w in
+    the lattice, share it, it differs from v by a lattice vector, and it is 0
+    exactly on the lattice."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_one_residue_per_coset(self, data):
+        n = data.draw(st.integers(1, 4))
+        lat = Sublattice.from_generators(n, data.draw(st.lists(vectors(n), max_size=4)))
+        v = data.draw(vectors(n))
+        w = lat.basis.mul_vec(tuple(data.draw(ENTRY) for _ in range(lat.rank)))
+        res, zero = lattice_residue(lat, v), tuple(0 for _ in range(n))
+        assert member_lattice(lat, vec_sub(v, res))
+        assert lattice_residue(lat, vec_add(v, w)) == res
+        assert lattice_residue(lat, w) == zero
+        assert (res == zero) == member_lattice(lat, v)
 
 def lattices(data, n):
     """A sublattice of Z^n of each rank 0..n, on entries up to 30."""

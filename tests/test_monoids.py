@@ -46,6 +46,7 @@ from torf.monoids import (
     _is_prime,
     check_family,
     cone_lattice_generators,
+    extract_generators,
     face_restriction,
     from_strata,
     generates,
@@ -69,9 +70,11 @@ from reference import (
     points_by_simplex,
     sn_member_oracle,
     span_lattice,
+    strata_candidates_blanket,
     stratify_checked,
     weak_normalization_checked,
 )
+import scale_models
 from test_complexes import monoid_complexes
 from test_cones import LINEALITY_EXAMPLE
 
@@ -328,7 +331,8 @@ class TestOneEnumeration:
                                       (0, 0, 0, 1), (0, 0, 0, -1)]))  # non-simplicial, a line
     def test_matches_per_simplex_spans(self, c):
         units = list(c.lin_basis)
-        cells = _cell_points(c, span_lattice(c), dict(zip(c.rays, c.rays)), units, "c")
+        cells = _cell_points(c, span_lattice(c), dict(zip(c.rays, c.rays)), c.contains, units,
+                             "c")
         assert [sorted(xs) for _rs, xs in cells] == list(map(sorted, points_by_simplex(c)))
         assert cone_lattice_generators(c) == hilbert_basis_by_simplex(c)
 
@@ -872,6 +876,49 @@ class TestSeminormalUpToUnits:
         s = AffineMonoid.make(2, [(3, 0), (-3, 0), (1, 2), (0, 2), (2, 2), (7, 1)])
         self.check(s)
         assert not is_seminormal(s)
+
+
+class TestOneCandidateRule:
+    """A cell point takes sums of its simplex's r_i only when the realized
+    monoid M does not hold it: the candidates are a subset of the blanket
+    rule's (every point plus every subset sum), the same generators are
+    extracted from both, and a saturated family takes its rays and points."""
+
+    def check(self, strat):
+        candidates, blanket = _strata_candidates(strat), strata_candidates_blanket(strat)
+        assert candidates <= blanket
+        units = strat.lattice_of(faces(strat.cone)[0])
+        assert from_strata(strat) == extract_generators(strat.cone, strat.member, units, blanket)
+        return candidates, blanket
+
+    @PROPERTY
+    @given(st.one_of(lineality_monoids(), rank3_monoids()))
+    def test_blanket_rule_extracts_the_same(self, s):
+        self.check(stratify(s))
+        self.check(weak_normalization(s, Characteristic(2)))
+
+    @settings(PROPERTY, max_examples=100)
+    @given(cones_with_lineality())
+    @example(LINEALITY_EXAMPLE)
+    def test_saturated_family_takes_rays_and_points(self, c):
+        strat = stratify(AffineMonoid.make(c.ambient_rank, cone_lattice_generators(c)))
+        units = strat.lattice_of(faces(c)[0]).basis_vectors()
+        points = (_parallelepiped_points(span_lattice(c), list(simplex) + units)
+                  for simplex in _simplices(c))
+        assert _strata_candidates(strat) == set(c.rays).union(*points)
+
+    def test_pinch(self):
+        # (1, 0) is the one point outside M, and its coordinate on r = (0, 1) is 0
+        candidates, blanket = self.check(stratify(PINCH))
+        assert candidates == {(0, 0), (1, 0), (1, 1), (2, 0), (0, 1)}
+        assert len(blanket) == 8
+
+    def test_cube_4_facet(self):
+        c = cone_from_generators(4, scale_models.cube(4)["cones"]["x1+"])
+        strat = stratify(AffineMonoid.make(4, cone_lattice_generators(c)))
+        candidates, blanket = self.check(strat)
+        assert (len(candidates), len(blanket)) == (34, 584)
+        assert len(from_strata(strat).generators) == 27
 
 
 class TestRelativeBudget:
