@@ -203,11 +203,26 @@ def cmd_normalize(args, rep):
     rep.line("input already normal" if already else "input was not normal")
     _complex_summary(rep, y)
     family = classify(y)
+    below = _faces_in_fan(y.fan)
     rep.results["strata"] = [{
         "cone": _cone_json(c),
-        "strata": [{"face": _cone_json(f), "basis": _lattice_json(family[f])} for f in faces(c)],
+        "strata": [{"face": _cone_json(f), "basis": _lattice_json(family[f])} for f in below[c]],
     } for c in y.cones()]
     return EXIT_OK
+
+
+def _faces_in_fan(fan):
+    """Each cone c of the fan -> `faces(c)`, read off the first facet f holding
+    it, so that only facets list their faces: a face of f is a face of c iff
+    its rays are among c's, and both lists are in `Cone.sort_key` order."""
+    below = {}
+    for f in fan.facets:
+        fs = faces(f)
+        for c in fs:
+            if c not in below:
+                rays = set(c.rays)
+                below[c] = [t for t in fs if rays.issuperset(t.rays)]
+    return below
 
 
 def cmd_classify(args, rep):

@@ -13,6 +13,7 @@ one-facet complex, on the face fan of cone(S) (`complex_from_monoid_subfan`).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import index
 
 from .errors import (
     CompatibilityFailure,
@@ -136,7 +137,7 @@ def complex_from_monoid_subfan(s: AffineMonoid, subfan: Fan = None) -> MonoidalC
 def support_locate(x: MonoidalComplex, m):
     """The unique fan cone with m in its relative interior and m in its monoid,
     or None when m is outside the support."""
-    m = tuple(int(v) for v in m)
+    m = tuple(map(index, m))
     f = fan_locate(x.fan, m)
     return f if f is not None and member(x.monoid_of(f), m) else None
 
@@ -168,7 +169,7 @@ class RingElem:
 
         clean = {}
         for m, c in dict(mapping).items():
-            m = tuple(int(v) for v in m)
+            m = tuple(map(index, m))
             c = Fraction(c)
             if c == 0:
                 continue

@@ -16,6 +16,7 @@ import itertools
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import gcd, prod
+from operator import index
 
 from .errors import (
     BadLatticeFamily,
@@ -91,7 +92,7 @@ class AffineMonoid:
     def make(ambient_rank, gens):
         clean = set()
         for g in gens:
-            g = tuple(int(x) for x in g)
+            g = tuple(map(index, g))
             if len(g) != ambient_rank:
                 raise DimensionMismatch("generator length does not match ambient rank")
             if not vec_is_zero(g):
@@ -156,8 +157,17 @@ def member(s: AffineMonoid, m) -> bool:
     grounded in membership of the unit lattice, memoized per monoid.  m is
     tested against the cone and gp(S) once; every later state lies in
     m + gp(S) and enters the search only if the cone contains it.
+
+    A state's children are taken in the order of `_unit_split`'s pointed
+    generators, and only the first unknown one is pushed.  When it is
+    decided the state is read again: true at its first true child, false
+    once every child is known false, else its next unknown child is pushed.
+    So a state is decided only from decided children, which is exact (a
+    child lies lower on a grading positive on the pointed generators, so the
+    search ends), and no sibling of a true child is expanded.  A coordinate
+    that is not an integer, such as a float or a string, is a TypeError.
     """
-    m = tuple(int(x) for x in m)
+    m = tuple(map(index, m))
     if len(m) != s.ambient_rank:
         raise DimensionMismatch("vector length does not match ambient rank")
     cache = _MEMBER_CACHE.setdefault(s, {})
@@ -172,23 +182,16 @@ def member(s: AffineMonoid, m) -> bool:
     stack = [m]
     while stack:
         v = stack[-1]
-        if v in cache:
-            stack.pop()
-            continue
         if in_units(units, v):
             cache[v] = True
-            stack.pop()
-            continue
-        children = [c for c in map(vec_sub, repeat(v), pointed) if contains(c)]
-        known = list(map(cache.get, children))
-        if True in known:
-            cache[v] = True
-            stack.pop()
-        elif None in known:
-            stack.extend(c for c, k in zip(children, known) if k is None)
         else:
-            cache[v] = False
-            stack.pop()
+            children = [c for c in map(vec_sub, repeat(v), pointed) if contains(c)]
+            known = list(map(cache.get, children))
+            if True not in known and None in known:
+                stack.append(children[known.index(None)])
+                continue
+            cache[v] = True in known
+        stack.pop()
     return cache[m]
 
 

@@ -886,12 +886,14 @@ class TestModelExpandsFacetsOnly:
         assert len(calls["face_restriction"]) == face_facet_pairs + len(covered) \
             == self.RESTRICTIONS[name]
 
-    @pytest.mark.parametrize("argv", [("classify", "--char", "2"), ("betti", "--theoretical")])
+    @pytest.mark.parametrize("argv", [("classify", "--char", "2"), ("betti", "--theoretical"),
+                                      ("normalize", "--mode", "wn", "--char", "2")])
     @pytest.mark.parametrize("name", ["p1-cubed", "p3"])
     def test_verdicts_read_the_family(self, name, argv, capsys, monkeypatch):
         """After validation the verdicts read the complex's own lattice family:
         no facet is stratified again, no derived family is checked, and
-        `faces` lists the faces of facets only."""
+        `faces` lists the faces of facets only.  `normalize` also restricts
+        each facet monoid of its result to the facet's proper faces."""
         x, _pairs = build_complex(parse_model((MODELS / f"{name}.json").read_text()))
         calls = {"faces": [], "face_restriction": [], "check_family": [], "stratify": []}
         monkeypatch.setattr(torf.monoids, "_GENERATED", {})
@@ -911,5 +913,6 @@ class TestModelExpandsFacetsOnly:
         code, _out, err = run(capsys, *argv[:1], str(MODELS / f"{name}.json"), *argv[1:])
         assert code == 0, err
         assert set(calls["faces"]) <= set(x.fan.facets)
-        assert len(calls["face_restriction"]) == self.RESTRICTIONS[name]
+        realized = sum(len(faces(f)) - 1 for f in x.fan.facets) if argv[0] == "normalize" else 0
+        assert len(calls["face_restriction"]) == self.RESTRICTIONS[name] + realized
         assert calls["check_family"] == calls["stratify"] == []

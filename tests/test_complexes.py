@@ -247,6 +247,11 @@ class TestSupport:
         assert support_locate(x, (1, 0)) is None
         assert support_locate(x, (2, 0)) == XRAY
 
+    @pytest.mark.parametrize("m", [(2.0, 0), (2.9, 0), ("2", 0)])
+    def test_locate_refuses_non_integers(self, m):
+        with pytest.raises(TypeError):
+            support_locate(pinch_complex(), m)
+
     def test_axes_support(self):
         x = axes_complex()
         assert in_support(x, (5, 0)) and in_support(x, (0, 2))
@@ -281,6 +286,11 @@ class TestRing:
         a = RingElem.make(x, {(1, 0): 2, (0, 3): Fraction(-1, 2)})
         assert ring_mult(x, one, a) == a
         assert ring_mult(x, a, one) == a
+
+    @pytest.mark.parametrize("m", [(1.0, 0), (1.5, 0), ("1", 0)])
+    def test_degrees_are_integers(self, m):
+        with pytest.raises(TypeError):
+            RingElem.make(axes_complex(), {m: 1})
 
     def _random_elem(self, x, rng, degs):
         picks = rng.sample(degs, min(3, len(degs)))

@@ -138,6 +138,25 @@ class TestMembership:
         )
         assert not monoid_equal(NSG23, AffineMonoid.make(1, [(1,)]))
 
+    @pytest.mark.parametrize("m", [(2.9,), (4.0,), ("4",)])
+    def test_coordinates_are_integers(self, m):
+        """A float or a string is refused, not truncated to a degree."""
+        with pytest.raises(TypeError):
+            member(NSG23, m)
+
+    @pytest.mark.parametrize("g", [(2.5,), (2.0,), ("2",)])
+    def test_generator_coordinates_are_integers(self, g):
+        with pytest.raises(TypeError):
+            AffineMonoid.make(1, [g])
+
+    def test_no_sibling_of_a_true_child_is_searched(self, monkeypatch):
+        """A fresh deep query memoizes one path of true states and the false
+        states left of it, not the siblings of a true child."""
+        monkeypatch.setattr(torf.monoids, "_MEMBER_CACHE", {})
+        s = AffineMonoid.make(2, [(3, 0), (0, 3), (1, 1), (2, 5)])
+        assert member(s, (1500, 1503))
+        assert len(torf.monoids._MEMBER_CACHE[s]) <= 1002
+
 
 REACH = 6  # the membership oracle's bound on the first coordinate
 
@@ -174,7 +193,7 @@ def membership_case(pointed, units, queries):
     unit_gens = [tuple(s * a * (i == j) for i in range(n)) for j, a in units.items() for s in (1, -1)]
     reach = reachable(pointed)
     sample = sorted(reach)[::5]
-    shifted = [p[:-1] + (p[-1] + 1,) for p in sample]
+    shifted = [p[:-1] + (p[-1] + 1,) for p in sample if n > 1 or p[0] < REACH]
     shifted += [(p[0] + 1,) + p[1:] for p in sample if p[0] < REACH]
     return AffineMonoid.make(n, pointed + unit_gens), reach, units, queries + sample + shifted
 
@@ -224,6 +243,32 @@ class TestMembershipProperties:
             assert member(s, m) == expected, m
             for u in steps:
                 assert member(s, tuple(x + y for x, y in zip(m, u))) == expected, (m, u)
+
+    @PROPERTY
+    @given(st.booleans().flatmap(membership_cases))
+    @example(membership_case([(2, 0), (3, 1)], {}, [(4, 1), (5, 0), (6, 1), (6, 3)]))
+    def test_rising_queries_share_one_memo(self, case):
+        """Queries in rising order on a fresh memo, as membership-deep asks
+        them: each search starts from the states the ones before decided."""
+        s, reach, units, queries = case
+        with patch.dict(torf.monoids._MEMBER_CACHE, clear=True):
+            for m in sorted(queries):
+                assert member(s, m) == oracle_member(reach, units, m), m
+
+    @pytest.mark.parametrize("a, b", [(7, 10), (10, 4), (6, 9)])
+    def test_deep_rising_queries(self, a, b):
+        """Rising queries up to |m| of several hundred on S_{a,b} = <(a, 0),
+        (0, 1), (b, 1)> on a fresh memo.  (x, y) is a member iff x - k b is in
+        aN for some 0 <= k <= y, so members and holes alternate all the way up."""
+        s = AffineMonoid.make(2, [(a, 0), (0, 1), (b, 1)])
+        rng = random.Random(a * b)
+        queries = sorted((x, rng.randrange(4)) for x in rng.sample(range(600), 80))
+        with patch.dict(torf.monoids._MEMBER_CACHE, clear=True):
+            answers = [member(s, m) for m in queries]
+        expected = [any(x >= k * b and (x - k * b) % a == 0 for k in range(y + 1))
+                    for x, y in queries]
+        assert answers == expected
+        assert True in expected and False in expected
 
 
 class TestSaturation:
