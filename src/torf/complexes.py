@@ -183,13 +183,6 @@ class RingElem:
         return RingElem(())
 
 
-def ring_add(a: RingElem, b: RingElem) -> RingElem:
-    acc = {}
-    for m, c in a.terms + b.terms:
-        acc[m] = acc.get(m, 0) + c
-    return RingElem(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
-
-
 def degrees_multiply(x: MonoidalComplex, m1, m2) -> bool:
     """Whether chi^m1 * chi^m2 is nonzero: both degrees lie in a common cone
     monoid, detected through the fan (some facet has both locating cones as faces)."""
@@ -208,11 +201,6 @@ def ring_mult(x: MonoidalComplex, a: RingElem, b: RingElem) -> RingElem:
                 m = vec_add(m1, m2)
                 acc[m] = acc.get(m, 0) + c1 * c2
     return RingElem(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
-
-
-def ring_restrict(x: MonoidalComplex, y: MonoidalComplex, a: RingElem) -> RingElem:
-    """Quotient map onto the subcomplex ring: kill degrees outside the sub-support."""
-    return RingElem(tuple((m, c) for m, c in a.terms if in_support(y, m)))
 
 
 # ---------------------------------------------------------------------------

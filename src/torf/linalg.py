@@ -117,12 +117,6 @@ class IntMatrix:
     def col_list(self):
         return [self.col(j) for j in range(self.cols)]
 
-    def transpose(self):
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def mul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
@@ -255,13 +249,11 @@ def snf(a: IntMatrix):
     return IntMatrix.from_rows(m, ncols), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
-def _bareiss(a: IntMatrix):
-    """Fraction-free (Bareiss) row elimination of `a`.  Returns its rank, the
-    sign of the row swaps and the last pivot; for a nonsingular square matrix
-    the sign times the last pivot is the determinant."""
+def rank(a: IntMatrix) -> int:
+    """Rank over the rationals, by fraction-free (Bareiss) row elimination."""
     m = a.row_list()
     nrows, ncols = a.rows, a.cols
-    r, sign, prev = 0, 1, 1
+    r, prev = 0, 1
     for c in range(ncols):
         if r == nrows:
             break
@@ -270,9 +262,7 @@ def _bareiss(a: IntMatrix):
                 break
         else:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
+        m[r], m[piv] = m[piv], m[r]
         top, p = m[r], m[r][c]
         for row in m[r + 1:]:
             f = row[c]
@@ -280,20 +270,7 @@ def _bareiss(a: IntMatrix):
                 row[j] = (p * row[j] - f * top[j]) // prev
         prev = p
         r += 1
-    return r, sign, prev
-
-
-def rank(a: IntMatrix) -> int:
-    """Rank over the rationals."""
-    return _bareiss(a)[0]
-
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    r, sign, last = _bareiss(a)
-    return sign * last if r == a.rows else 0
+    return r
 
 
 def solve_integer(b: IntMatrix, v):

@@ -69,16 +69,18 @@ def _is_prime(p):
 
 @value(frozen=True)
 class Characteristic:
-    """Field characteristic: 0 or a prime below _MR_LIMIT."""
+    """Field characteristic: 0 or a prime below _MR_LIMIT.  A float or a
+    string is a TypeError."""
 
     p: int
 
     def __post_init__(self):
-        if self.p >= _MR_LIMIT:
-            raise ValueError(f"characteristic {self.p} is too large; primes below "
+        p = index(self.p)
+        if p >= _MR_LIMIT:
+            raise ValueError(f"characteristic {p} is too large; primes below "
                              f"{_MR_LIMIT} are supported")
-        if self.p != 0 and not _is_prime(self.p):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
+        if p != 0 and not _is_prime(p):
+            raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
 
 @value(frozen=True)
@@ -193,15 +195,6 @@ def member(s: AffineMonoid, m) -> bool:
             cache[v] = True in known
         stack.pop()
     return cache[m]
-
-
-def monoid_equal(s1: AffineMonoid, s2: AffineMonoid) -> bool:
-    """Set equality, decided on generators."""
-    if s1.ambient_rank != s2.ambient_rank:
-        return False
-    return all(member(s2, g) for g in s1.generators) and all(
-        member(s1, g) for g in s2.generators
-    )
 
 
 def face_restriction(s: AffineMonoid, t: Cone) -> AffineMonoid:

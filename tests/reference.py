@@ -27,13 +27,30 @@ determinant of coordinates, and the Smith form of coordinates in a given
 superlattice.  `strata_candidates_blanket` is the candidate rule that
 `monoids._cell_points` replaced: every cell point plus every subset sum of
 its simplex's r_i, whether or not the point is in the realized monoid.
+
+The rest moved here from torf because nothing torf exports or runs from its
+command line reaches them: `transpose` and `det` (by elimination over the
+rationals) of an integer matrix, `monoid_equal` on generators, the ring sum
+`ring_add` and the quotient map `ring_restrict` onto a subcomplex ring, and
+the module structure of the h-forms: `make_form`, `form_add`,
+`module_action` (with `_inclusion_matrix` and `_wedge_power`) and the
+combinatorial `restrict`.  They are the only implementation of that module
+structure; acceptance criterion 07 checks the Leibniz law of
+`derham.differential` with them.
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
-from torf.complexes import is_weakly_normal, stratify, weak_normalization
+from torf.complexes import (
+    RingElem,
+    classify,
+    in_support,
+    is_weakly_normal,
+    stratify,
+    weak_normalization,
+)
 from torf.cones import (
     Cone,
     _cone,
@@ -45,9 +62,17 @@ from torf.cones import (
     locate,
     relint_point,
 )
+from torf.derham import (
+    GradedForm,
+    _require_weakly_normal,
+    _sn_support,
+    fiber_space,
+    wedge_basis,
+)
 from torf.errors import (
     CompatibilityFailure,
     ConeNotInFan,
+    DegreeNotInSupport,
     DimensionMismatch,
     GenerationFailure,
     TorfError,
@@ -55,7 +80,6 @@ from torf.errors import (
 from torf.linalg import (
     IntMatrix,
     Sublattice,
-    det,
     kernel_cols,
     lattice_contains,
     lattice_coords,
@@ -282,8 +306,8 @@ def saturate_by_kernels(lat: Sublattice) -> Sublattice:
         return lat
     if lat.rank == n:
         return Sublattice.full(n)
-    perp = kernel_cols(lat.basis.transpose())  # n x k
-    sat = kernel_cols(perp.transpose())  # n x rank
+    perp = kernel_cols(transpose(lat.basis))  # n x k
+    sat = kernel_cols(transpose(perp))  # n x rank
     return Sublattice.from_generators(n, sat.col_list())
 
 
@@ -466,3 +490,134 @@ def complex_validate_all_pairs(n, fan, monoid_of):
                 if tau.contains(g) and not member(st, g):
                     raise CompatibilityFailure(tau, sig, g)
     return tuple(sorted(table.items(), key=lambda kv: kv[0].sort_key()))
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix(a.cols, a.rows,
+                     tuple(a.entry(i, j) for j in range(a.cols) for i in range(a.rows)))
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix, by Gaussian elimination
+    over the rationals."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    m = [[Fraction(x) for x in row] for row in a.row_list()]
+    out = Fraction(1)
+    for c in range(a.rows):
+        piv = next((r for r in range(c, a.rows) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out *= m[c][c]
+        for row in m[c + 1:]:
+            f = row[c] / m[c][c]
+            row[c:] = [x - f * y for x, y in zip(row[c:], m[c][c:])]
+    return int(out)
+
+
+def monoid_equal(s1: AffineMonoid, s2: AffineMonoid) -> bool:
+    """Set equality, decided on generators."""
+    if s1.ambient_rank != s2.ambient_rank:
+        return False
+    return all(member(s2, g) for g in s1.generators) and all(
+        member(s1, g) for g in s2.generators
+    )
+
+
+def ring_add(a: RingElem, b: RingElem) -> RingElem:
+    acc = {}
+    for m, c in a.terms + b.terms:
+        acc[m] = acc.get(m, 0) + c
+    return RingElem(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
+
+
+def ring_restrict(x, y, a: RingElem) -> RingElem:
+    """Quotient map onto the subcomplex ring: kill degrees outside the sub-support."""
+    return RingElem(tuple((m, c) for m, c in a.terms if in_support(y, m)))
+
+
+def make_form(x, p, mapping) -> GradedForm:
+    """Build a GradedForm from {degree: coordinate tuple}, validating shapes."""
+    clean = []
+    for m, coords in dict(mapping).items():
+        m = tuple(int(v) for v in m)
+        fs = fiber_space(x, m)
+        coords = tuple(Fraction(c) for c in coords)
+        if len(coords) != comb(fs.dim, p):
+            raise ValueError(
+                f"multivector at {m} must have {comb(fs.dim, p)} coordinates"
+            )
+        if any(c != 0 for c in coords):
+            clean.append((m, coords))
+    return GradedForm(p, tuple(sorted(clean)))
+
+
+def form_add(a: GradedForm, b: GradedForm) -> GradedForm:
+    assert a.p == b.p
+    acc = {}
+    for m, coords in a.terms + b.terms:
+        if m in acc:
+            acc[m] = vec_add(acc[m], coords)
+        else:
+            acc[m] = coords
+    terms = tuple(sorted((m, c) for m, c in acc.items() if any(c)))
+    return GradedForm(a.p, terms)
+
+
+def _inclusion_matrix(x, m_small, m_big) -> IntMatrix:
+    """Coordinates of V_{m_small}'s basis inside V_{m_big}'s basis."""
+    fs = fiber_space(x, m_small)
+    fb = fiber_space(x, m_big)
+    big = classify(x)[fb.cone]
+    cols = [lattice_coords(big, v) for v in fs.basis]
+    assert None not in cols, "stratum lattices must be nested along multiplication"
+    return IntMatrix.from_cols(cols, nrows=fb.dim)
+
+
+def _wedge_power(mat: IntMatrix, p) -> IntMatrix:
+    """p-th exterior power in lexicographic wedge bases (minors)."""
+    dom = wedge_basis(mat.cols, p)
+    cod = wedge_basis(mat.rows, p)
+    rows = []
+    for u in cod:
+        row = []
+        for t in dom:
+            minor = IntMatrix.from_rows(
+                [[mat.entry(i, j) for j in t] for i in u], ncols=p
+            )
+            row.append(det(minor) if p > 0 else 1)
+        rows.append(row)
+    return IntMatrix.from_rows(rows, ncols=len(dom))
+
+
+def module_action(x, mp, w: GradedForm) -> GradedForm:
+    """Multiplication by chi^{mp}: shift surviving terms and include multivectors.
+    A term survives when some facet has the cones of mp and of its degree as faces."""
+    _require_weakly_normal(x)
+    mp = tuple(int(v) for v in mp)
+    located = _sn_support(x, [mp] + [m for m, _ in w.terms])
+    if mp not in located:
+        raise DegreeNotInSupport(f"degree {mp} is not in the support")
+    cp = located[mp]
+    acc = {}
+    for m, coords in w.terms:
+        c = located.get(m)
+        if c is None or not any(is_face_of(cp, f) and is_face_of(c, f) for f in x.fan.facets):
+            continue
+        m2 = vec_add(m, mp)
+        new = _wedge_power(_inclusion_matrix(x, m, m2), w.p).mul_vec(coords)
+        if m2 in acc:
+            new = vec_add(acc[m2], new)
+        acc[m2] = new
+    terms = tuple(sorted((m, c) for m, c in acc.items() if any(c)))
+    return GradedForm(w.p, terms)
+
+
+def restrict(x, w: GradedForm, t: Cone) -> GradedForm:
+    """Combinatorial restriction to the closed subvariety at t: keep m in t."""
+    if t not in x.fan:
+        raise ConeNotInFan(f"cone not in the complex fan: {t}")
+    return GradedForm(w.p, tuple((m, c) for m, c in w.terms if t.contains(m)))

@@ -44,9 +44,7 @@ from torf.complexes import (
     is_weakly_normal,
     is_weakly_normal_complex,
     orbits,
-    ring_add,
     ring_mult,
-    ring_restrict,
     sn_complex,
     subcomplex,
     support_box,
@@ -54,16 +52,12 @@ from torf.complexes import (
     wn_complex,
 )
 from torf.derham import (
-    _inclusion_matrix,
-    _wedge_power,
     betti,
     differential,
     fiber_cohomology,
     fiber_complex,
     fiber_space,
     hdiff_general,
-    make_form,
-    module_action,
     pair_dims,
 )
 from torf.fixtures import fixture, fixture_names
@@ -78,19 +72,25 @@ from torf.monoids import (
     face_restriction,
     member,
     monoid_cone,
-    monoid_equal,
     stratum_index,
     wn_family,
 )
 
 from reference import (
+    _inclusion_matrix,
+    _wedge_power,
     complex_validate_all_pairs,
     is_seminormal_complex_facetwise,
     is_weakly_normal_complex_by_lattice,
     is_weakly_normal_facetwise,
     is_weakly_normal_inline,
+    make_form,
+    module_action,
+    monoid_equal,
     normalize_cone_by_cone,
     realize_cone_by_cone,
+    ring_add,
+    ring_restrict,
     saturated_by_cone,
     span_lattice,
 )

@@ -31,12 +31,8 @@ from torf.derham import (
     fiber_cohomology,
     fiber_complex,
     fiber_space,
-    form_add,
     hdiff_general,
-    make_form,
-    module_action,
     pair_dims,
-    restrict,
 )
 from torf.fixtures import fixture, fixture_names
 from torf.linalg import IntMatrix, solve_integer
@@ -47,6 +43,8 @@ from torf.monoids import (
     member,
     monoid_cone,
 )
+
+from reference import form_add, make_form, module_action, restrict
 
 QUAD = cone_from_generators(2, [(1, 0), (0, 1)])
 XRAY = cone_from_generators(2, [(1, 0)])
@@ -107,6 +105,24 @@ class TestFiberSpaces:
         fs = fiber_space(x, (1, 1))
         b = IntMatrix.from_cols([tuple(v) for v in fs.basis], nrows=2)
         assert b.mul_vec(a) == (1, 1)
+
+    @pytest.mark.parametrize("m", [(1.7, 0), ("1", 0), (1.0, 0)])
+    def test_degree_is_an_integer(self, m):
+        """A float or a string is refused, not truncated to another degree,
+        also where the equal integer degree is cached."""
+        fiber_complex(torus2(), (1, 0))
+        for entry in (fiber_space, fiber_complex):
+            with pytest.raises(TypeError):
+                entry(torus2(), m)
+
+    def test_fiber_complex_keeps_the_degree_it_computed(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        fc = fiber_complex(torus2(), (Two(), -1))
+        assert fc == fiber_complex(torus2(), (2, -1))
+        assert [type(v) for v in fc.degree] == [int, int]
 
 
 class TestFibers:

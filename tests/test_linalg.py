@@ -10,7 +10,6 @@ from torf.errors import DimensionMismatch
 from torf.linalg import (
     IntMatrix,
     Sublattice,
-    det,
     hnf,
     kernel_cols,
     lattice_contains,
@@ -34,6 +33,7 @@ from torf.monoids import _lattice_intersection, _p_saturation, stratum_index
 from reference import (
     NotASublattice,
     coset_reps,
+    det,
     lattice_index,
     lattice_sum,
     p_saturation_in,

@@ -52,7 +52,6 @@ from torf.monoids import (
     generates,
     member,
     monoid_cone,
-    monoid_equal,
     saturation,
 )
 
@@ -67,6 +66,7 @@ from reference import (
     is_weakly_normal_inline,
     lattice_index,
     minors_gcd,
+    monoid_equal,
     points_by_simplex,
     sn_member_oracle,
     span_lattice,
@@ -569,6 +569,13 @@ class TestNormality:
             Characteristic(4)
         Characteristic(0)
         Characteristic(7)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, "2"])
+    def test_characteristic_is_an_integer(self, p):
+        """A float or a string is refused at construction: 2.0 used to pass
+        as prime 2, and weak_normalization then failed inside the Smith form."""
+        with pytest.raises(TypeError):
+            Characteristic(p)
 
     def test_primality_agrees_with_sieve_below_1e5(self):
         n = 10**5

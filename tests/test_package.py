@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from torf import _EXPORTS
 from torf.cli import main
 from torf.complexes import stratify
 from torf.cones import cone_from_generators
@@ -226,6 +227,72 @@ class TestPackageSurface:
         listed = dir(torf)
         assert set(PUBLIC + SUBMODULES) <= set(listed)
         assert listed == sorted(listed)
+
+
+class TestReachable:
+    """`src/torf` holds only what the CLI and `torf.__all__` reach.  A static
+    scan: starting from the exported names, from every definition in `cli`
+    and `__init__` and from each module's top-level statements, follow the
+    names each reached function or class body uses, within its module and
+    through `from .module import name`.  Annotations are not uses."""
+
+    # unreached definitions that stay in src/, each with the reason
+    ALLOWED = {
+        ("linalg", "solve_integer"): "BENCHMARK.json reads linalg.solve_integer.calls",
+        ("complexes", "support_box"): "BENCHMARK.json reads complexes.support_box.self_s",
+        ("derham", "fiber_cohomology"): "BENCHMARK.json reads derham.fiber_cohomology.self_s",
+        ("complexes", "subcomplex"): "ROADMAP item 6 builds orbit closures with it",
+        ("complexes", "components"): "the README lists the irreducible components",
+    }
+
+    @staticmethod
+    def uses(node):
+        """The names a definition or statement reads, annotations skipped."""
+        names, todo = set(), [node]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            for field, value in ast.iter_fields(node):
+                if field not in ("annotation", "returns"):
+                    todo.extend(v for v in (value if isinstance(value, list) else [value])
+                                if isinstance(v, ast.AST))
+        return names
+
+    def unreached(self, src):
+        defs, imported, roots = {}, {}, [(module, name) for name, module in _EXPORTS.items()]
+        for path in sorted(Path(src, "torf").glob("*.py")):
+            module, tree = path.stem, ast.parse(path.read_text())
+            defs[module] = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    for alias in node.names:
+                        imported[module, alias.asname or alias.name] = (node.module, alias.name)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defs[module][node.name] = node
+                    if module in ("cli", "__init__"):
+                        roots.append((module, node.name))
+                elif not isinstance(node, (ast.Import, ast.ImportFrom)):  # runs on import
+                    roots.extend((module, used) for used in self.uses(node))
+        reached, todo = set(), roots
+        while todo:
+            key = todo.pop()
+            if key in reached:
+                continue
+            reached.add(key)
+            module, name = key
+            if key in imported:
+                todo.append(imported[key])
+            elif name in defs.get(module, ()):
+                todo.extend((module, used) for used in self.uses(defs[module][name]))
+        return sorted((module, name) for module, names in defs.items() for name in names
+                      if (module, name) not in reached)
+
+    def test_every_definition_is_reached(self):
+        unreached = self.unreached(SRC)
+        assert [key for key in unreached if key not in self.ALLOWED] == []
+        assert unreached == sorted(self.ALLOWED)  # a reached name leaves ALLOWED
 
 
 def _fields(x):
